@@ -1,0 +1,66 @@
+"""The public calls the command line and the benchmark make, by position.
+
+Callers pass most arguments positionally (for example
+``smooth(timeline, i, base, pruning_epsilon, ode_tolerance)``), so a renamed
+or reordered parameter would silently change what they compute.
+"""
+
+import dataclasses
+import inspect
+
+import pytest
+
+import mvhmm
+from mvhmm import dual, dw, fv, io
+
+POSITIONAL = [
+    (fv, "smooth", ("timeline", "i", "base", "pruning_epsilon", "rtol")),
+    (fv, "filter_forward", ("timeline", "i", "base", "rtol")),
+    (fv, "filter_backward", ("timeline", "i", "base", "rtol")),
+    (fv, "filter_posterior", ("timeline", "i", "base", "rtol")),
+    (fv, "propagate_forward", ("law", "dt", "rtol")),
+    (fv, "propagate_backward", ("law", "dt", "rtol")),
+    (fv, "update_dirichlet", ("law", "n")),
+    (fv, "predictive_pmf", ("law", "history")),
+    (fv, "predictive_sample", ("result", "count", "rng", "history")),
+    (dw, "smooth_dw", ("timeline", "i", "base", "beta", "pruning_epsilon", "kappa")),
+    (dw, "filter_forward_dw", ("timeline", "i", "base", "beta", "kappa")),
+    (dw, "filter_backward_dw", ("timeline", "i", "base", "beta", "kappa")),
+    (dw, "filter_posterior_dw", ("timeline", "i", "base", "beta", "kappa")),
+    (dw, "propagate_dw", ("law", "dt", "kappa")),
+    (dw, "update_gamma", ("law", "draws")),
+    (dw, "predict_count_pmf", ("law", "tail", "max_support")),
+    (dw, "predict_count_mean", ("law",)),
+    (dw, "predict_draw", ("law", "rng", "m_count")),
+    (dw, "predictive_label_pmf", ("law", "history", "m_count")),
+    (dual, "DwDualSpec", ("theta", "beta", "c", "kappa")),
+    (dual, "dw_survival_prob", ("spec", "t")),
+    (dual, "fv_totals_transition", ("theta", "n", "t", "rtol")),
+    (dual, "clear_transition_cache", ()),
+    (io, "format_mixture", ("law", "header")),
+    (io, "load_config", ("path",)),
+    (io, "load_timeline", ("path", "aggregate")),
+    (mvhmm.DirichletMixtureLaw, "prior", ("base", "registry")),
+    (mvhmm.GammaMixtureLaw, "prior", ("base", "registry", "beta")),
+]
+
+
+@pytest.mark.parametrize(
+    "owner,name,params", POSITIONAL, ids=[name for _, name, _ in POSITIONAL]
+)
+def test_positional_signature(owner, name, params):
+    assert tuple(inspect.signature(getattr(owner, name)).parameters) == params
+
+
+def test_public_names_import():
+    for name in mvhmm.__all__:
+        assert getattr(mvhmm, name) is not None
+
+
+def test_result_types_and_config_fields():
+    assert fv.FvSmoothingResult is not dw.DwSmoothingResult
+    fields = {f.name for f in dataclasses.fields(mvhmm.RunConfig)}
+    assert {
+        "model", "base", "beta", "pruning_epsilon", "seed",
+        "ode_tolerance", "dw_rate_constant",
+    } <= fields
