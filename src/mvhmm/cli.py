@@ -29,20 +29,6 @@ from .io import (
 __all__ = ["main"]
 
 
-def _check_at(timeline: ObservationTimeline, i: int) -> None:
-    if not 0 <= i < timeline.n_times:
-        raise MvhmmError(
-            f"--at {i} out of range for {timeline.n_times} collection times"
-        )
-
-
-def _check_model(config: RunConfig, timeline: ObservationTimeline) -> None:
-    if config.model != timeline.mode:
-        raise MvhmmError(
-            f"config model {config.model!r} but data file is {timeline.mode!r}"
-        )
-
-
 def _verify_normalized(law) -> None:
     total = law.weight_sum()
     if abs(total - 1.0) > NORMALIZATION_TOL:
@@ -64,11 +50,39 @@ def _emit_mixture(config: RunConfig, timeline, i: int, law, query: str) -> str:
     return format_mixture(law, header)
 
 
-def _cmd_filter(args) -> int:
+def _load(args) -> tuple[RunConfig, ObservationTimeline]:
+    """Config and data of a query command, checked against each other and
+    against ``--at``."""
     config = load_config(args.config)
     timeline = load_timeline(args.data)
-    _check_model(config, timeline)
-    _check_at(timeline, args.at)
+    if config.model != timeline.mode:
+        raise MvhmmError(
+            f"config model {config.model!r} but data file is {timeline.mode!r}"
+        )
+    if not 0 <= args.at < timeline.n_times:
+        raise MvhmmError(
+            f"--at {args.at} out of range for {timeline.n_times} collection times"
+        )
+    return config, timeline
+
+
+def _smooth(config: RunConfig, timeline: ObservationTimeline, i: int):
+    if config.model == "fv":
+        return fv_engine.smooth(
+            timeline, i, config.base, config.pruning_epsilon, config.ode_tolerance
+        )
+    return dw_engine.smooth_dw(
+        timeline,
+        i,
+        config.base,
+        config.beta,
+        config.pruning_epsilon,
+        config.dw_rate_constant,
+    )
+
+
+def _cmd_filter(args) -> int:
+    config, timeline = _load(args)
     if config.model == "fv":
         law = fv_engine.filter_posterior(
             timeline, args.at, config.base, config.ode_tolerance
@@ -84,36 +98,14 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_smooth(args) -> int:
-    config = load_config(args.config)
-    timeline = load_timeline(args.data)
-    _check_model(config, timeline)
-    _check_at(timeline, args.at)
-    if config.model == "fv":
-        result = fv_engine.smooth(
-            timeline,
-            args.at,
-            config.base,
-            config.pruning_epsilon,
-            config.ode_tolerance,
-        )
-    else:
-        result = dw_engine.smooth_dw(
-            timeline,
-            args.at,
-            config.base,
-            config.beta,
-            config.pruning_epsilon,
-            config.dw_rate_constant,
-        )
+    config, timeline = _load(args)
+    result = _smooth(config, timeline, args.at)
     sys.stdout.write(_emit_mixture(config, timeline, args.at, result.law, "smooth"))
     return 0
 
 
 def _cmd_predict(args) -> int:
-    config = load_config(args.config)
-    timeline = load_timeline(args.data)
-    _check_model(config, timeline)
-    _check_at(timeline, args.at)
+    config, timeline = _load(args)
     rng = np.random.default_rng(config.seed)
     lines = [
         f"model {config.model}",
@@ -121,10 +113,8 @@ def _cmd_predict(args) -> int:
         f"at {args.at}",
         f"time {format_float(timeline.times[args.at])}",
     ]
+    result = _smooth(config, timeline, args.at)
     if config.model == "fv":
-        result = fv_engine.smooth(
-            timeline, args.at, config.base, config.pruning_epsilon, config.ode_tolerance
-        )
         if args.pmf or not args.samples:
             pmf = fv_engine.predictive_pmf(result.law)
             total = sum(pmf.values())
@@ -140,14 +130,6 @@ def _cmd_predict(args) -> int:
             for pos, lab in enumerate(draws):
                 lines.append(f"sample {pos} {lab}")
     else:
-        result = dw_engine.smooth_dw(
-            timeline,
-            args.at,
-            config.base,
-            config.beta,
-            config.pruning_epsilon,
-            config.dw_rate_constant,
-        )
         if args.pmf or not args.samples:
             pmf = dw_engine.predict_count_pmf(result.law)
             lines.append(f"count_mean {format_float(dw_engine.predict_count_mean(result.law))}")

@@ -8,6 +8,7 @@ mixture is built.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -158,8 +159,8 @@ class BaseMeasure:
     atom_probs: Mapping[str, float] | None = None
 
     def __post_init__(self):
-        if self.theta <= 0.0:
-            raise DomainError(f"theta must be positive, got {self.theta}")
+        if not 0.0 < self.theta < math.inf:
+            raise DomainError(f"theta must be finite and > 0, got {self.theta}")
         if self.atom_probs is not None:
             total = 0.0
             for lab, p in self.atom_probs.items():
@@ -217,6 +218,9 @@ class ObservationTimeline:
     def __post_init__(self):
         if len(self.times) == 0:
             raise DomainError("at least one collection time required")
+        for t in self.times:
+            if not math.isfinite(t):
+                raise DomainError(f"collection time {t} is not finite")
         for a, b in zip(self.times, self.times[1:]):
             if not a < b:
                 raise DomainError(f"times must be strictly increasing ({a} !< {b})")
@@ -250,10 +254,7 @@ class ObservationTimeline:
         if self.fv_counts is not None:
             return self.fv_counts[i]
         assert self.dw_draws is not None
-        total = MultiIndex.zeros(self.registry.k)
-        for d in self.dw_draws[i]:
-            total = total + d
-        return total
+        return sum(self.dw_draws[i], MultiIndex.zeros(self.registry.k))
 
     def cardinality_at(self, i: int) -> int:
         """Number of point-process draws collected at time index i (0 for fv)."""
@@ -297,6 +298,12 @@ class _MixtureBase:
     """Shared behaviour of the two mixture-law types."""
 
     components: tuple[tuple[float, MultiIndex], ...]
+    registry: TypeRegistry
+
+    def __post_init__(self):
+        for _, idx in self.components:
+            if len(idx) != self.registry.k:
+                raise DomainError("component index length != registry size")
 
     def log_weights(self) -> dict[MultiIndex, float]:
         return {idx: lw for lw, idx in self.components}
@@ -307,12 +314,22 @@ class _MixtureBase:
     def weight_sum(self) -> float:
         return float(sum(math.exp(lw) for lw, _ in self.components))
 
-    def max_weight_index(self) -> MultiIndex:
-        lw, idx = max(self.components, key=lambda pair: pair[0])
-        return idx
-
     def __len__(self) -> int:
         return len(self.components)
+
+    def _renewed(self, components: Iterable[tuple[float, MultiIndex]]):
+        """The same law (base, registry, rate) with merged, normalized
+        ``components`` in place of its own."""
+        merged = _normalize_components(_merge_components(components))
+        return dataclasses.replace(self, components=tuple(merged))
+
+    def pruned(self, epsilon: float):
+        """Drop components with normalized weight < epsilon, then renormalize."""
+        if epsilon <= 0.0:
+            return self
+        return self._renewed(
+            (lw, idx) for lw, idx in self.components if math.exp(lw) >= epsilon
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,11 +344,6 @@ class DirichletMixtureLaw(_MixtureBase):
     components: tuple[tuple[float, MultiIndex], ...]
     base: BaseMeasure
     registry: TypeRegistry
-
-    def __post_init__(self):
-        for _, idx in self.components:
-            if len(idx) != self.registry.k:
-                raise DomainError("component index length != registry size")
 
     @staticmethod
     def from_components(
@@ -351,18 +363,6 @@ class DirichletMixtureLaw(_MixtureBase):
             ((0.0, MultiIndex.zeros(registry.k)),), base, registry
         )
 
-    def normalized(self) -> "DirichletMixtureLaw":
-        return DirichletMixtureLaw(
-            tuple(_normalize_components(self.components)), self.base, self.registry
-        )
-
-    def pruned(self, epsilon: float) -> "DirichletMixtureLaw":
-        """Drop components with normalized weight < epsilon, then renormalize."""
-        if epsilon <= 0.0:
-            return self
-        kept = [(lw, idx) for lw, idx in self.components if math.exp(lw) >= epsilon]
-        return DirichletMixtureLaw.from_components(kept, self.base, self.registry)
-
 
 @dataclass(frozen=True, eq=False)
 class GammaMixtureLaw(_MixtureBase):
@@ -380,13 +380,13 @@ class GammaMixtureLaw(_MixtureBase):
     rate_offset: float = 0.0
 
     def __post_init__(self):
-        if self.beta <= 0.0:
-            raise DomainError(f"beta must be positive, got {self.beta}")
-        if self.rate_offset < 0.0:
-            raise DomainError(f"rate offset must be nonnegative, got {self.rate_offset}")
-        for _, idx in self.components:
-            if len(idx) != self.registry.k:
-                raise DomainError("component index length != registry size")
+        if not 0.0 < self.beta < math.inf:
+            raise DomainError(f"beta must be finite and > 0, got {self.beta}")
+        if not 0.0 <= self.rate_offset < math.inf:
+            raise DomainError(
+                f"rate offset must be finite and >= 0, got {self.rate_offset}"
+            )
+        super().__post_init__()
 
     @property
     def effective_cardinality(self) -> float:
@@ -417,36 +417,10 @@ class GammaMixtureLaw(_MixtureBase):
             ((0.0, MultiIndex.zeros(registry.k)),), base, registry, beta, 0.0
         )
 
-    def normalized(self) -> "GammaMixtureLaw":
-        return GammaMixtureLaw(
-            tuple(_normalize_components(self.components)),
-            self.base,
-            self.registry,
-            self.beta,
-            self.rate_offset,
-        )
-
-    def pruned(self, epsilon: float) -> "GammaMixtureLaw":
-        if epsilon <= 0.0:
-            return self
-        kept = [(lw, idx) for lw, idx in self.components if math.exp(lw) >= epsilon]
-        return GammaMixtureLaw.from_components(
-            kept, self.base, self.registry, self.beta, self.rate_offset
-        )
-
 
 def normalize(law):
     """Return the same mixture with weights rescaled to sum to one.
 
     Raises AllWeightsZero if every component has log-weight -inf.
     """
-    finite = [c for c in law.components if c[0] > -math.inf]
-    if not finite:
-        raise AllWeightsZero("mixture has no component with positive weight")
-    if isinstance(law, DirichletMixtureLaw):
-        return DirichletMixtureLaw.from_components(finite, law.base, law.registry)
-    if isinstance(law, GammaMixtureLaw):
-        return GammaMixtureLaw.from_components(
-            finite, law.base, law.registry, law.beta, law.rate_offset
-        )
-    raise TypeError(f"not a mixture law: {type(law)!r}")
+    return law._renewed(law.components)

@@ -63,11 +63,8 @@ class FvDualSpec:
     theta: float
 
     def __post_init__(self):
-        if self.theta <= 0.0:
-            raise DomainError(f"theta must be positive, got {self.theta}")
-
-    def totals_rate(self, i: int) -> float:
-        return i * (self.theta + i - 1) / 2.0
+        if not 0.0 < self.theta < math.inf:
+            raise DomainError(f"theta must be finite and > 0, got {self.theta}")
 
 
 @dataclass(frozen=True)
@@ -84,12 +81,12 @@ class DwDualSpec:
     kappa: float = DEFAULT_DW_RATE_CONSTANT
 
     def __post_init__(self):
-        if self.beta <= 0.0:
-            raise DomainError(f"beta must be positive, got {self.beta}")
-        if self.c < 0.0:
-            raise DomainError(f"cardinality must be nonnegative, got {self.c}")
-        if self.kappa <= 0.0:
-            raise DomainError(f"rate constant must be positive, got {self.kappa}")
+        if not 0.0 < self.beta < math.inf:
+            raise DomainError(f"beta must be finite and > 0, got {self.beta}")
+        if not 0.0 <= self.c < math.inf:
+            raise DomainError(f"cardinality must be finite and >= 0, got {self.c}")
+        if not 0.0 < self.kappa < math.inf:
+            raise DomainError(f"rate constant must be finite and > 0, got {self.kappa}")
 
 
 def s_t(beta: float, t: float) -> float:

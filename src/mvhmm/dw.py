@@ -6,8 +6,8 @@ single rate offset: updates add the draw cardinality to the offset and shift
 indices by the observed totals; propagation thins every component's index
 binomially and moves the offset along the deterministic cardinality flow.
 Smoothing weights combine the thinning transition probabilities with a
-total-count marginal ratio and the same per-type allocation case term as the
-Dirichlet engine (shared between the two models).
+total-count marginal ratio and the per-type allocation case term; the filter
+loop, pair combination, pruning and urn are the Dirichlet engine's (fv.py).
 
 Prediction is two-stage: the size of a further draw is a mixture of negative
 binomials, and given the size the elements follow an urn mixture whose pair
@@ -17,7 +17,6 @@ weights are reweighted by the size likelihood and the elements drawn so far.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,12 +39,17 @@ from .dual import (
 )
 from .errors import DomainError
 from .fv import (
-    NEW_LABEL,
-    SharedAtomSets,
-    discrete_case_log,
-    nonatomic_log_coefficient,
-    observation_log_score,
-    sharing_degree,
+    _cached_tables,
+    _combine_pairs,
+    _filter,
+    _fresh_label,
+    _idle_atoms,
+    _one_step_pairs,
+    _PairDecomposition,
+    _rescored,
+    _result_from_pairs,
+    _spread,
+    _urn_pmf,
 )
 from .specfun import log_gamma_marginal, log_neg_bin_pmf
 
@@ -63,21 +67,6 @@ __all__ = [
     "predictive_label_pmf",
     "predict_draw",
 ]
-
-
-def _require_dw(timeline: ObservationTimeline) -> None:
-    if timeline.mode != "dw":
-        raise DomainError("timeline does not carry per-time draw data")
-
-
-def _carriers(law: GammaMixtureLaw) -> tuple[bool, ...]:
-    k = law.registry.k
-    out = [False] * k
-    for _, idx in law.components:
-        for j in range(k):
-            if idx[j] > 0:
-                out[j] = True
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -99,25 +88,13 @@ def update_gamma(
     c = len(draws)
     if c == 0:
         return law
-    total = MultiIndex.zeros(law.registry.k)
-    for d in draws:
-        if len(d) != law.registry.k:
-            raise DomainError("draw length != registry size")
-        total = total + d
-    alpha_vec = law.base.alpha_vector(law.registry)
-    carriers = _carriers(law)
-    theta = law.base.theta
+    total = sum(draws, MultiIndex.zeros(law.registry.k))  # checks each length
     rate = law.beta + law.rate_offset
-    comps = []
-    for lw, m in law.components:
-        theta_eff = theta + m.total
-        score = log_gamma_marginal(total.total, float(c), theta_eff, rate)
-        alloc = observation_log_score(
-            m, total, law.base, alpha_vec, carriers, theta_eff
-        )
-        if alloc == -math.inf:
-            continue
-        comps.append((lw + score + alloc, m + total))
+    comps = _rescored(
+        law,
+        total,
+        lambda theta_eff: log_gamma_marginal(total.total, float(c), theta_eff, rate),
+    )
     return GammaMixtureLaw.from_components(
         comps, law.base, law.registry, law.beta, law.rate_offset + c
     )
@@ -135,27 +112,32 @@ def propagate_dw(
     propagation coincide on these laws, so a single operation serves both
     recursions.
     """
-    if dt < 0.0:
-        raise DomainError(f"negative time step {dt}")
+    if not 0.0 <= dt < math.inf:
+        raise DomainError(f"time step must be finite and >= 0, got {dt}")
     if dt == 0.0:
         return law
     spec = DwDualSpec(law.base.theta, law.beta, law.rate_offset, kappa)
-    new_offset = c_flow(law.beta, law.rate_offset, dt)
-    comps = []
-    for lw, m in law.components:
-        if m.is_zero():
-            comps.append((lw, m))
-            continue
-        for k in m.lattice_below():
-            comps.append((lw + dw_typed_log_prob(spec, m, k, dt), k))
+    comps = _spread(law.components, lambda m, k: dw_typed_log_prob(spec, m, k, dt))
     return GammaMixtureLaw.from_components(
-        comps, law.base, law.registry, law.beta, new_offset
+        comps, law.base, law.registry, law.beta, c_flow(law.beta, law.rate_offset, dt)
     )
 
 
 # ---------------------------------------------------------------------------
 # filtering
 # ---------------------------------------------------------------------------
+
+
+def _dw_filter(timeline, i, base, beta, kappa, backward=False) -> GammaMixtureLaw:
+    return _filter(
+        timeline,
+        i,
+        GammaMixtureLaw.prior(base, timeline.registry, beta),
+        update_gamma,
+        lambda law, dt: propagate_dw(law, dt, kappa),
+        timeline.dw_draws,
+        backward,
+    )
 
 
 def filter_forward_dw(
@@ -166,14 +148,7 @@ def filter_forward_dw(
     kappa: float = DEFAULT_DW_RATE_CONSTANT,
 ) -> GammaMixtureLaw:
     """Law of the signal at t_i given draws strictly before t_i."""
-    _require_dw(timeline)
-    if not 0 <= i < timeline.n_times:
-        raise DomainError(f"time index {i} out of range")
-    law = GammaMixtureLaw.prior(base, timeline.registry, beta)
-    for j in range(i):
-        law = update_gamma(law, timeline.dw_draws[j])
-        law = propagate_dw(law, timeline.times[j + 1] - timeline.times[j], kappa)
-    return law
+    return _dw_filter(timeline, i, base, beta, kappa)
 
 
 def filter_backward_dw(
@@ -184,14 +159,7 @@ def filter_backward_dw(
     kappa: float = DEFAULT_DW_RATE_CONSTANT,
 ) -> GammaMixtureLaw:
     """Law of the signal at t_i given draws strictly after t_i."""
-    _require_dw(timeline)
-    if not 0 <= i < timeline.n_times:
-        raise DomainError(f"time index {i} out of range")
-    law = GammaMixtureLaw.prior(base, timeline.registry, beta)
-    for j in range(timeline.n_times - 1, i, -1):
-        law = update_gamma(law, timeline.dw_draws[j])
-        law = propagate_dw(law, timeline.times[j] - timeline.times[j - 1], kappa)
-    return law
+    return _dw_filter(timeline, i, base, beta, kappa, backward=True)
 
 
 def filter_posterior_dw(
@@ -212,20 +180,13 @@ def filter_posterior_dw(
 
 
 @dataclass(frozen=True, eq=False)
-class DwSmoothingResult:
+class DwSmoothingResult(_PairDecomposition):
     """Smoothing law at one collection time with its pair decomposition."""
 
     n_now: MultiIndex
     cardinality_now: int
     pair_log_weights: dict[tuple[MultiIndex, MultiIndex], float]
     law: GammaMixtureLaw
-
-    @property
-    def component_count(self) -> int:
-        return len(self.pair_log_weights)
-
-    def pair_weights(self) -> dict[tuple[MultiIndex, MultiIndex], float]:
-        return {pair: math.exp(lw) for pair, lw in self.pair_log_weights.items()}
 
 
 def _gamma_ratio_log(
@@ -247,75 +208,17 @@ def _gamma_ratio_log(
     )
 
 
-def _combine_pairs_dw(
-    v1: GammaMixtureLaw,
-    v2: GammaMixtureLaw,
-    n_now: MultiIndex,
-    c_now: int,
-    base: BaseMeasure,
-    beta: float,
-) -> dict[tuple[MultiIndex, MultiIndex], float]:
-    theta = base.theta
-    a_past = v1.rate_offset
-    a_future = v2.rate_offset
+def _gamma_pair_term(n_now, a_past, c_now, a_future, theta, beta):
+    """The total-count marginal ratio of a retained pair, as a function of
+    the pair (the branching model's extra pair term)."""
 
-    def gamma_part(k: MultiIndex, kp: MultiIndex) -> float:
+    def term(k: MultiIndex, kp: MultiIndex) -> float:
         s = k.total + n_now.total + kp.total
         return _gamma_ratio_log(
             s, k.total, n_now.total, kp.total, a_past, c_now, a_future, theta, beta
         )
 
-    if base.is_nonatomic:
-        entries = []
-        best = -1
-        for lw1, k in v1.components:
-            for lw2, kp in v2.components:
-                d = sharing_degree(k, n_now, kp)
-                best = max(best, d)
-                entries.append((d, k, kp, lw1 + lw2))
-        raw = {
-            (k, kp): lw
-            + gamma_part(k, kp)
-            + nonatomic_log_coefficient(k, n_now, kp, theta)
-            for d, k, kp, lw in entries
-            if d == best
-        }
-    else:
-        alpha_vec = base.alpha_vector(v1.registry)
-        raw = {}
-        for lw1, k in v1.components:
-            for lw2, kp in v2.components:
-                raw[(k, kp)] = (
-                    lw1
-                    + lw2
-                    + gamma_part(k, kp)
-                    + discrete_case_log(k, n_now, kp, alpha_vec, theta)
-                )
-    shift = logsumexp_1d(np.array(list(raw.values())))
-    return {pair: lw - shift for pair, lw in raw.items()}
-
-
-def _result_from_pairs_dw(
-    pairs: dict[tuple[MultiIndex, MultiIndex], float],
-    n_now: MultiIndex,
-    c_now: int,
-    base: BaseMeasure,
-    registry: TypeRegistry,
-    beta: float,
-    rate_offset: float,
-    pruning_epsilon: float,
-) -> DwSmoothingResult:
-    if pruning_epsilon > 0.0:
-        kept = {
-            pair: lw for pair, lw in pairs.items() if math.exp(lw) >= pruning_epsilon
-        }
-        shift = logsumexp_1d(np.array(list(kept.values())))
-        pairs = {pair: lw - shift for pair, lw in kept.items()}
-    comps = [(lw, k + n_now + kp) for (k, kp), lw in pairs.items()]
-    law = GammaMixtureLaw.from_components(
-        comps, base, registry, beta, rate_offset
-    )
-    return DwSmoothingResult(n_now, c_now, pairs, law)
+    return term
 
 
 def one_step_smoothing_dw(
@@ -343,41 +246,16 @@ def one_step_smoothing_dw(
     a_future = c_flow(beta, float(c_future), d_future)
     spec_past = DwDualSpec(theta, beta, float(c_past), kappa)
     spec_future = DwDualSpec(theta, beta, float(c_future), kappa)
-    shared = SharedAtomSets.from_counts(n_past, n_now, n_future)
-    if base.is_nonatomic:
-        alpha_vec = (0.0,) * len(n_now)
-    else:
-        if registry is None or registry.k != len(n_now):
-            raise DomainError("discrete base measure requires a matching registry")
-        alpha_vec = base.alpha_vector(registry)
-    raw: dict[tuple[MultiIndex, MultiIndex], float] = {}
-    for k in n_past.lattice_below():
-        lp_past = dw_typed_log_prob(spec_past, n_past, k, d_past)
-        if lp_past == -math.inf:
-            continue
-        for kp in n_future.lattice_below():
-            lp_fut = dw_typed_log_prob(spec_future, n_future, kp, d_future)
-            if lp_fut == -math.inf:
-                continue
-            if base.is_nonatomic:
-                if not shared.contains(k, kp):
-                    continue
-                case = nonatomic_log_coefficient(k, n_now, kp, theta)
-            else:
-                case = discrete_case_log(k, n_now, kp, alpha_vec, theta)
-            s = k.total + n_now.total + kp.total
-            gamma_part = _gamma_ratio_log(
-                s,
-                k.total,
-                n_now.total,
-                kp.total,
-                a_past,
-                float(c_now),
-                a_future,
-                theta,
-                beta,
-            )
-            raw[(k, kp)] = lp_past + lp_fut + gamma_part + case
+    raw = _one_step_pairs(
+        n_past,
+        n_now,
+        n_future,
+        base,
+        registry,
+        lambda m, k: dw_typed_log_prob(spec_past, m, k, d_past),
+        lambda m, k: dw_typed_log_prob(spec_future, m, k, d_future),
+        _gamma_pair_term(n_now, a_past, float(c_now), a_future, theta, beta),
+    )
     comps = [(lw, k + n_now + kp) for (k, kp), lw in raw.items()]
     reg = registry if registry is not None else TypeRegistry(
         tuple(f"y{j}" for j in range(len(n_now)))
@@ -402,18 +280,25 @@ def smooth_dw(
     rate offset is the propagated past cardinality plus the present one plus
     the propagated future cardinality.
     """
-    _require_dw(timeline)
-    if not 0 <= i < timeline.n_times:
-        raise DomainError(f"time index {i} out of range")
     v1 = filter_forward_dw(timeline, i, base, beta, kappa)
     v2 = filter_backward_dw(timeline, i, base, beta, kappa)
     n_now = timeline.counts_at(i)
     c_now = timeline.cardinality_at(i)
-    pairs = _combine_pairs_dw(v1, v2, n_now, c_now, base, beta)
-    offset = v1.rate_offset + c_now + v2.rate_offset
-    return _result_from_pairs_dw(
-        pairs, n_now, c_now, base, timeline.registry, beta, offset, pruning_epsilon
+    extra = _gamma_pair_term(
+        n_now, v1.rate_offset, c_now, v2.rate_offset, base.theta, beta
     )
+    alpha_vec = base.alpha_vector(timeline.registry)
+    raw = _combine_pairs(v1.components, v2.components, n_now, base, alpha_vec, extra)
+    offset = v1.rate_offset + c_now + v2.rate_offset
+    pairs, law = _result_from_pairs(
+        raw,
+        n_now,
+        pruning_epsilon,
+        lambda comps: GammaMixtureLaw.from_components(
+            comps, base, timeline.registry, beta, offset
+        ),
+    )
+    return DwSmoothingResult(n_now, c_now, pairs, law)
 
 
 # ---------------------------------------------------------------------------
@@ -456,44 +341,6 @@ def predict_count_mean(law: GammaMixtureLaw) -> float:
     )
 
 
-def _component_log_posteriors(
-    law: GammaMixtureLaw,
-    m_count: int | None,
-    history: Sequence[str],
-) -> np.ndarray:
-    """Log posterior component weights given the draw size and its elements."""
-    theta = law.base.theta
-    registry = law.registry
-    alpha_vec = (
-        (0.0,) * registry.k
-        if law.base.is_nonatomic
-        else law.base.alpha_vector(registry)
-    )
-    b_total = law.beta + law.rate_offset
-    p = 1.0 / (1.0 + b_total)
-    new_mass = theta * law.base.unseen_mass
-    logs = []
-    for lw, m in law.components:
-        acc = lw
-        theta_eff = theta + m.total
-        if m_count is not None:
-            acc += log_neg_bin_pmf(m_count, theta_eff, p)
-        seen: dict[str, int] = {}
-        for step, lab in enumerate(history):
-            denom = theta_eff + step
-            if lab in registry:
-                j = registry.index_of(lab)
-                num = alpha_vec[j] + m[j] + seen.get(lab, 0)
-            elif lab in seen:
-                num = seen[lab]
-            else:
-                num = new_mass
-            acc += math.log(num) - math.log(denom) if num > 0 else -math.inf
-            seen[lab] = seen.get(lab, 0) + 1
-        logs.append(acc)
-    return np.array(logs)
-
-
 def predictive_label_pmf(
     law: GammaMixtureLaw,
     history: tuple[str, ...] = (),
@@ -505,53 +352,16 @@ def predictive_label_pmf(
     given) and of the elements drawn so far; the urns then mix exactly as in
     the Dirichlet engine, with the rate parameters cancelling.
     """
-    theta = law.base.theta
-    registry = law.registry
-    alpha_vec = (
-        (0.0,) * registry.k
-        if law.base.is_nonatomic
-        else law.base.alpha_vector(registry)
+    if m_count is None:
+        return _urn_pmf(law, history)
+    p = 1.0 / (1.0 + (law.beta + law.rate_offset))
+    return _urn_pmf(
+        law, history, lambda theta_eff: log_neg_bin_pmf(m_count, theta_eff, p)
     )
-    logs = _component_log_posteriors(law, m_count, history)
-    shift = logsumexp_1d(logs)
-    weights = np.exp(logs - shift)
-    hist_counts: dict[str, int] = {}
-    for lab in history:
-        hist_counts[lab] = hist_counts.get(lab, 0) + 1
-    extra = [lab for lab in hist_counts if lab not in registry]
-    out = {lab: 0.0 for lab in registry.labels}
-    for lab in extra:
-        out[lab] = 0.0
-    out[NEW_LABEL] = 0.0
-    k_hist = len(history)
-    new_mass = theta * law.base.unseen_mass
-    for w, (lw, m) in zip(weights, law.components):
-        denom = theta + m.total + k_hist
-        for j, lab in enumerate(registry.labels):
-            out[lab] += w * (alpha_vec[j] + m[j] + hist_counts.get(lab, 0)) / denom
-        for lab in extra:
-            out[lab] += w * hist_counts[lab] / denom
-        out[NEW_LABEL] += w * new_mass / denom
-    return out
-
-
-_draw_table_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 class _DrawTables:
     """Static arrays backing the further-draw sampler of one mixture law."""
-
-    __slots__ = (
-        "log_w",
-        "m_mat",
-        "theta_eff",
-        "alpha_vec",
-        "new_mass",
-        "p",
-        "b_total",
-        "comp_cum",
-        "lgamma_theta_eff",
-    )
 
     def __init__(self, law: GammaMixtureLaw):
         theta = law.base.theta
@@ -562,23 +372,11 @@ class _DrawTables:
             [m.counts for _, m in law.components], dtype=float
         ).reshape(len(law.components), law.registry.k)
         self.theta_eff = theta + self.m_mat.sum(axis=1)
-        self.alpha_vec = np.array(
-            (0.0,) * law.registry.k
-            if law.base.is_nonatomic
-            else law.base.alpha_vector(law.registry)
-        )
+        self.alpha_vec = np.array(law.base.alpha_vector(law.registry))
         self.new_mass = theta * law.base.unseen_mass
         probs = np.exp(self.log_w - logsumexp_1d(self.log_w))
         self.comp_cum = np.cumsum(probs)
         self.lgamma_theta_eff = gammaln(self.theta_eff)
-
-
-def _draw_tables(law: GammaMixtureLaw) -> _DrawTables:
-    tables = _draw_table_cache.get(law)
-    if tables is None:
-        tables = _DrawTables(law)
-        _draw_table_cache[law] = tables
-    return tables
 
 
 def predict_draw(
@@ -594,7 +392,7 @@ def predict_draw(
     the elements sampled so far.
     """
     registry = law.registry
-    t = _draw_tables(law)
+    t = _cached_tables(law, _DrawTables)
     theta_eff = t.theta_eff
     if m_count is None:
         pick = int(np.searchsorted(t.comp_cum, rng.random(), side="right"))
@@ -611,8 +409,9 @@ def predict_draw(
         + theta_eff * math.log1p(-t.p)
     )
     numer = t.alpha_vec[None, :] + t.m_mat  # per-component known-label masses
-    extra_labels: list[str] = []
-    extra_counts: list[int] = []
+    idle = _idle_atoms(law.base, registry)
+    extra_labels = list(idle)  # labels off the registry: idle atoms, then new ones
+    extra_counts = list(idle.values())
     labels: list[str] = []
     used: set[str] = set()
     for step in range(m_count):
@@ -640,11 +439,7 @@ def predict_draw(
             lam = lam + math.log(extra_counts[e]) - np.log(denom)
             extra_counts[e] += 1
         else:
-            i = 1
-            while f"{NEW_LABEL}{i}" in used or f"{NEW_LABEL}{i}" in registry:
-                i += 1
-            lab = f"{NEW_LABEL}{i}"
-            used.add(lab)
+            lab = _fresh_label(registry, used)
             lam = lam + math.log(new_mass) - np.log(denom)
             extra_labels.append(lab)
             extra_counts.append(1)

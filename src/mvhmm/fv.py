@@ -15,6 +15,10 @@ finer discretizations: components that fail to carry an atom for a type
 observed at more than one collection time are suppressed by a vanishing
 factor and drop out, while the surviving components pick up explicit
 Pochhammer/factorial coefficients.
+
+The filter loop, lattice spread, pair combination, pruning and predictive
+urn below serve both models: the branching engine (dw.py) passes in its own
+update, propagation and total-count pair term.
 """
 
 from __future__ import annotations
@@ -29,8 +33,9 @@ from .core import (
     BaseMeasure,
     DirichletMixtureLaw,
     MultiIndex,
-    TypeRegistry,
     ObservationTimeline,
+    TypeRegistry,
+    _MixtureBase,
     logsumexp_1d,
 )
 from .dual import DEFAULT_ODE_RTOL, FvDualSpec, fv_typed_log_prob
@@ -59,11 +64,6 @@ __all__ = [
 
 # Reserved key for predictive mass on previously unseen types.
 NEW_LABEL = "<new>"
-
-
-def _require_fv(timeline: ObservationTimeline) -> None:
-    if timeline.mode != "fv":
-        raise DomainError("timeline does not carry per-time multiplicity data")
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +118,26 @@ def observation_log_score(
     return out
 
 
+def _rescored(law: _MixtureBase, n: MultiIndex, log_extra=None) -> list:
+    """Components of ``law`` conditioned on the total counts ``n``.
+
+    Indices shift by n; log-weights gain ``log_extra(theta + |m|)``, if
+    given, and the observation score.  Components the score rules out drop.
+    """
+    alpha_vec = law.base.alpha_vector(law.registry)
+    carriers = _carriers(law)
+    comps = []
+    for lw, m in law.components:
+        theta_eff = law.base.theta + m.total
+        score = observation_log_score(m, n, law.base, alpha_vec, carriers, theta_eff)
+        if score == -math.inf:
+            continue
+        if log_extra is not None:
+            lw += log_extra(theta_eff)
+        comps.append((lw + score, m + n))
+    return comps
+
+
 def update_dirichlet(law: DirichletMixtureLaw, n: MultiIndex) -> DirichletMixtureLaw:
     """Condition the mixture on counts ``n`` observed at the current time.
 
@@ -128,20 +148,24 @@ def update_dirichlet(law: DirichletMixtureLaw, n: MultiIndex) -> DirichletMixtur
         raise DomainError("observation length != registry size")
     if n.is_zero():
         return law
-    alpha_vec = law.base.alpha_vector(law.registry)
-    carriers = _carriers(law)
-    comps = []
-    for lw, m in law.components:
-        score = observation_log_score(m, n, law.base, alpha_vec, carriers)
-        if score == -math.inf:
-            continue
-        comps.append((lw + score, m + n))
-    return DirichletMixtureLaw.from_components(comps, law.base, law.registry)
+    return law._renewed(_rescored(law, n))
 
 
 # ---------------------------------------------------------------------------
 # propagation
 # ---------------------------------------------------------------------------
+
+
+def _spread(components, log_prob) -> list:
+    """``components`` spread over the lattice below each index, with
+    transition log-probabilities ``log_prob(m, k)``; impossible moves drop."""
+    comps = []
+    for lw, m in components:
+        for k in m.lattice_below():
+            lp = log_prob(m, k)
+            if lp != -math.inf:
+                comps.append((lw + lp, k))
+    return comps
 
 
 def propagate_forward(
@@ -152,19 +176,14 @@ def propagate_forward(
     Each component (w, m) spreads over {k <= m} with the typed death-chain
     transition probabilities; coinciding indices merge.
     """
-    if dt < 0.0:
-        raise DomainError(f"negative time step {dt}")
+    if not 0.0 <= dt < math.inf:
+        raise DomainError(f"time step must be finite and >= 0, got {dt}")
     if dt == 0.0:
         return law
     spec = FvDualSpec(law.base.theta)
-    comps = []
-    for lw, m in law.components:
-        if m.is_zero():
-            comps.append((lw, m))
-            continue
-        for k in m.lattice_below():
-            comps.append((lw + fv_typed_log_prob(spec, m, k, dt, rtol), k))
-    return DirichletMixtureLaw.from_components(comps, law.base, law.registry)
+    return law._renewed(
+        _spread(law.components, lambda m, k: fv_typed_log_prob(spec, m, k, dt, rtol))
+    )
 
 
 def propagate_backward(
@@ -183,6 +202,37 @@ def propagate_backward(
 # ---------------------------------------------------------------------------
 
 
+def _filter(timeline, i, prior, update, propagate, data, backward=False):
+    """Law of the signal at t_i given the data strictly before t_i (after it
+    if ``backward``), for either model: from ``prior``, alternates
+    ``update(law, data[j])`` with ``propagate(law, dt)`` towards t_i.
+    ``data`` is None when the timeline carries the other model's data.
+    """
+    if data is None:
+        raise DomainError(f"timeline carries {timeline.mode} data, not this model's")
+    if not 0 <= i < timeline.n_times:
+        raise DomainError(f"time index {i} out of range")
+    times = timeline.times
+    law = prior
+    for j in range(timeline.n_times - 1, i, -1) if backward else range(i):
+        law = update(law, data[j])
+        dt = times[j] - times[j - 1] if backward else times[j + 1] - times[j]
+        law = propagate(law, dt)
+    return law
+
+
+def _fv_filter(timeline, i, base, rtol, backward=False) -> DirichletMixtureLaw:
+    return _filter(
+        timeline,
+        i,
+        DirichletMixtureLaw.prior(base, timeline.registry),
+        update_dirichlet,
+        lambda law, dt: propagate_forward(law, dt, rtol),
+        timeline.fv_counts,
+        backward,
+    )
+
+
 def filter_forward(
     timeline: ObservationTimeline,
     i: int,
@@ -195,14 +245,7 @@ def filter_forward(
     stationary single-component prior; the result is supported on the
     lattice below the summed past multiplicities.
     """
-    _require_fv(timeline)
-    if not 0 <= i < timeline.n_times:
-        raise DomainError(f"time index {i} out of range")
-    law = DirichletMixtureLaw.prior(base, timeline.registry)
-    for j in range(i):
-        law = update_dirichlet(law, timeline.fv_counts[j])
-        law = propagate_forward(law, timeline.times[j + 1] - timeline.times[j], rtol)
-    return law
+    return _fv_filter(timeline, i, base, rtol)
 
 
 def filter_backward(
@@ -216,14 +259,7 @@ def filter_backward(
     Mirror image of filter_forward, built with backward propagation from the
     prior at the final collection time.
     """
-    _require_fv(timeline)
-    if not 0 <= i < timeline.n_times:
-        raise DomainError(f"time index {i} out of range")
-    law = DirichletMixtureLaw.prior(base, timeline.registry)
-    for j in range(timeline.n_times - 1, i, -1):
-        law = update_dirichlet(law, timeline.fv_counts[j])
-        law = propagate_backward(law, timeline.times[j] - timeline.times[j - 1], rtol)
-    return law
+    return _fv_filter(timeline, i, base, rtol, backward=True)
 
 
 def filter_posterior(
@@ -274,10 +310,6 @@ class SharedAtomSets:
         return all(k_past[j] > 0 for j in self.d_past) and all(
             k_future[j] > 0 for j in self.d_future
         )
-
-    @property
-    def shared(self) -> frozenset[int]:
-        return self.d_past | self.d_future
 
 
 def sharing_degree(k: MultiIndex, n: MultiIndex, kp: MultiIndex) -> int:
@@ -338,41 +370,56 @@ def discrete_case_log(
     )
 
 
-def _combine_pairs(
-    v1: DirichletMixtureLaw,
-    v2: DirichletMixtureLaw,
-    n_now: MultiIndex,
-    base: BaseMeasure,
-) -> dict[tuple[MultiIndex, MultiIndex], float]:
-    """Pair log-weights from propagated filter weights and the case term."""
-    theta = base.theta
-    if base.is_nonatomic:
-        entries = []
-        best = -1
-        for lw1, k in v1.components:
-            for lw2, kp in v2.components:
-                d = sharing_degree(k, n_now, kp)
-                best = max(best, d)
-                entries.append((d, k, kp, lw1 + lw2))
-        raw = {
-            (k, kp): lw + nonatomic_log_coefficient(k, n_now, kp, theta)
-            for d, k, kp, lw in entries
-            if d == best
-        }
-    else:
-        alpha_vec = base.alpha_vector(v1.registry)
-        raw = {}
-        for lw1, k in v1.components:
-            for lw2, kp in v2.components:
-                raw[(k, kp)] = lw1 + lw2 + discrete_case_log(
-                    k, n_now, kp, alpha_vec, theta
-                )
+def _normalized(raw: dict) -> dict:
     shift = logsumexp_1d(np.array(list(raw.values())))
-    return {pair: lw - shift for pair, lw in raw.items()}
+    return {key: lw - shift for key, lw in raw.items()}
+
+
+def _combine_pairs(
+    comps1, comps2, n_now: MultiIndex, base: BaseMeasure, alpha_vec, extra=None
+) -> dict[tuple[MultiIndex, MultiIndex], float]:
+    """Unnormalized pair log-weights from propagated filter components and
+    the case term.
+
+    ``extra(k, k')``, if given, is a model-specific pair term added between
+    the filter weights and the case term (the branching model's total-count
+    marginal ratio).  Under a nonatomic base measure only the pairs of
+    maximal sharing degree survive the discretization limit.
+    """
+    pairs = ((k, kp, lw1 + lw2) for lw1, k in comps1 for lw2, kp in comps2)
+    nonatomic = base.is_nonatomic
+    if nonatomic:
+        pairs = list(pairs)
+        degrees = [sharing_degree(k, n_now, kp) for k, kp, _ in pairs]
+        best = max(degrees)
+        pairs = [pair for pair, d in zip(pairs, degrees) if d == best]
+    theta = base.theta
+    raw = {}
+    for k, kp, lw in pairs:
+        if extra is not None:
+            lw += extra(k, kp)
+        if nonatomic:
+            raw[(k, kp)] = lw + nonatomic_log_coefficient(k, n_now, kp, theta)
+        else:
+            raw[(k, kp)] = lw + discrete_case_log(k, n_now, kp, alpha_vec, theta)
+    return raw
+
+
+class _PairDecomposition:
+    """Accessors shared by the smoothing results of both models."""
+
+    pair_log_weights: dict[tuple[MultiIndex, MultiIndex], float]
+
+    @property
+    def component_count(self) -> int:
+        return len(self.pair_log_weights)
+
+    def pair_weights(self) -> dict[tuple[MultiIndex, MultiIndex], float]:
+        return {pair: math.exp(lw) for pair, lw in self.pair_log_weights.items()}
 
 
 @dataclass(frozen=True, eq=False)
-class FvSmoothingResult:
+class FvSmoothingResult(_PairDecomposition):
     """Smoothing law at one collection time, with its pair decomposition.
 
     ``pair_log_weights`` maps (retained-past, retained-future) multi-index
@@ -384,32 +431,50 @@ class FvSmoothingResult:
     pair_log_weights: dict[tuple[MultiIndex, MultiIndex], float]
     law: DirichletMixtureLaw
 
-    @property
-    def component_count(self) -> int:
-        return len(self.pair_log_weights)
-
-    def pair_weights(self) -> dict[tuple[MultiIndex, MultiIndex], float]:
-        return {pair: math.exp(lw) for pair, lw in self.pair_log_weights.items()}
-
 
 def _result_from_pairs(
-    pairs: dict[tuple[MultiIndex, MultiIndex], float],
+    raw: dict[tuple[MultiIndex, MultiIndex], float],
     n_now: MultiIndex,
-    base: BaseMeasure,
-    registry: TypeRegistry,
     pruning_epsilon: float,
-) -> FvSmoothingResult:
+    make_law,
+):
+    """Normalize and prune the pair law, then merge it into the mixture
+    ``make_law`` builds from (log-weight, index) components.
+
+    Returns (pairs, law).
+    """
+    pairs = _normalized(raw)
     if pruning_epsilon > 0.0:
-        kept = {
-            pair: lw
-            for pair, lw in pairs.items()
-            if math.exp(lw) >= pruning_epsilon
-        }
-        shift = logsumexp_1d(np.array(list(kept.values())))
-        pairs = {pair: lw - shift for pair, lw in kept.items()}
-    comps = [(lw, k + n_now + kp) for (k, kp), lw in pairs.items()]
-    law = DirichletMixtureLaw.from_components(comps, base, registry)
-    return FvSmoothingResult(n_now, pairs, law)
+        pairs = _normalized(
+            {pair: lw for pair, lw in pairs.items() if math.exp(lw) >= pruning_epsilon}
+        )
+    return pairs, make_law([(lw, k + n_now + kp) for (k, kp), lw in pairs.items()])
+
+
+def _one_step_pairs(
+    n_past, n_now, n_future, base, registry, log_prob_past, log_prob_future, extra=None
+) -> dict[tuple[MultiIndex, MultiIndex], float]:
+    """Unnormalized pair log-weights for a query flanked by single blocks:
+    the pair combination of the two blocks spread with their transition
+    log-probabilities ``log_prob_past(m, k)`` and ``log_prob_future(m, k')``.
+    """
+    k_size = len(n_now)
+    if len(n_past) != k_size or len(n_future) != k_size:
+        raise DomainError("count vectors must share one registry")
+    if base.is_nonatomic:
+        alpha_vec = (0.0,) * k_size
+    elif registry is None or registry.k != k_size:
+        raise DomainError("discrete base measure requires a matching registry")
+    else:
+        alpha_vec = base.alpha_vector(registry)
+    return _combine_pairs(
+        _spread(((0.0, n_past),), log_prob_past),
+        _spread(((0.0, n_future),), log_prob_future),
+        n_now,
+        base,
+        alpha_vec,
+        extra,
+    )
 
 
 def one_step_smoothing_weights(
@@ -431,40 +496,16 @@ def one_step_smoothing_weights(
     A discrete base measure needs the registry to resolve its atom masses.
     """
     spec = FvDualSpec(base.theta)
-    k_size = len(n_now)
-    if len(n_past) != k_size or len(n_future) != k_size:
-        raise DomainError("count vectors must share one registry")
-    shared = SharedAtomSets.from_counts(n_past, n_now, n_future)
-    if base.is_nonatomic:
-        alpha_vec = (0.0,) * k_size
-    else:
-        if registry is None or registry.k != k_size:
-            raise DomainError("discrete base measure requires a matching registry")
-        alpha_vec = base.alpha_vector(registry)
-    raw: dict[tuple[MultiIndex, MultiIndex], float] = {}
-    for k in n_past.lattice_below():
-        lp_past = fv_typed_log_prob(spec, n_past, k, d_past, rtol) if d_past > 0 else (
-            0.0 if k == n_past else -math.inf
-        )
-        if lp_past == -math.inf:
-            continue
-        for kp in n_future.lattice_below():
-            lp_fut = (
-                fv_typed_log_prob(spec, n_future, kp, d_future, rtol)
-                if d_future > 0
-                else (0.0 if kp == n_future else -math.inf)
-            )
-            if lp_fut == -math.inf:
-                continue
-            if base.is_nonatomic:
-                if not shared.contains(k, kp):
-                    continue
-                case = nonatomic_log_coefficient(k, n_now, kp, base.theta)
-            else:
-                case = discrete_case_log(k, n_now, kp, alpha_vec, base.theta)
-            raw[(k, kp)] = lp_past + lp_fut + case
-    shift = logsumexp_1d(np.array(list(raw.values())))
-    return {pair: lw - shift for pair, lw in raw.items()}
+    raw = _one_step_pairs(
+        n_past,
+        n_now,
+        n_future,
+        base,
+        registry,
+        lambda m, k: fv_typed_log_prob(spec, m, k, d_past, rtol),
+        lambda m, k: fv_typed_log_prob(spec, m, k, d_future, rtol),
+    )
+    return _normalized(raw)
 
 
 def smooth(
@@ -481,16 +522,13 @@ def smooth(
     first is algebraically identical to the double sum over pre-propagation
     components, because the case term depends only on the retained pair.
     """
-    _require_fv(timeline)
-    if not 0 <= i < timeline.n_times:
-        raise DomainError(f"time index {i} out of range")
     v1 = filter_forward(timeline, i, base, rtol)
     v2 = filter_backward(timeline, i, base, rtol)
     n_now = timeline.fv_counts[i]
-    pairs = _combine_pairs(v1, v2, n_now, base)
-    return _result_from_pairs(
-        pairs, n_now, base, timeline.registry, pruning_epsilon
-    )
+    alpha_vec = base.alpha_vector(timeline.registry)
+    raw = _combine_pairs(v1.components, v2.components, n_now, base, alpha_vec)
+    pairs, law = _result_from_pairs(raw, n_now, pruning_epsilon, v1._renewed)
+    return FvSmoothingResult(n_now, pairs, law)
 
 
 # ---------------------------------------------------------------------------
@@ -498,41 +536,95 @@ def smooth(
 # ---------------------------------------------------------------------------
 
 
+def _idle_atoms(base: BaseMeasure, registry: TypeRegistry) -> dict[str, float]:
+    """Parameter mass theta*p of each atom of the base measure that the data
+    never shows, keyed by its label."""
+    return {
+        lab: base.theta * p
+        for lab, p in (base.atom_probs or {}).items()
+        if lab not in registry
+    }
+
+
+def _urn_mass(base: BaseMeasure, registry: TypeRegistry):
+    """``mass(lab, m, counts)``: urn weight of ``lab`` in the component at
+    ``m`` given the label ``counts`` of earlier further samples, before
+    division by theta + |m| + sum(counts); other labels weigh as new ones.
+    """
+    index = {lab: j for j, lab in enumerate(registry.labels)}
+    alpha_vec = base.alpha_vector(registry)
+    idle = _idle_atoms(base, registry)
+    new_mass = base.theta * base.unseen_mass
+
+    def mass(lab: str, m: MultiIndex, counts: dict[str, int]) -> float:
+        if lab in index:
+            j = index[lab]
+            return alpha_vec[j] + m[j] + counts.get(lab, 0)
+        if lab in idle:
+            return idle[lab] + counts.get(lab, 0)
+        return counts.get(lab, 0) or new_mass
+
+    return mass
+
+
+def _component_weights(
+    components, base: BaseMeasure, registry: TypeRegistry, history, log_extra=None
+):
+    """Mixture weights given the earlier further samples ``history``.
+
+    Each component's log-weight gains the log-likelihood of ``history``
+    under its Polya urn and, if given, ``log_extra(theta + |m|)``.  With
+    nothing to condition on these are the mixture weights themselves.
+    """
+    if not history and log_extra is None:
+        return [math.exp(lw) for lw, _ in components]
+    mass = _urn_mass(base, registry)
+    logs = []
+    for lw, m in components:
+        theta_eff = base.theta + m.total
+        if log_extra is not None:
+            lw += log_extra(theta_eff)
+        seen: dict[str, int] = {}
+        for step, lab in enumerate(history):
+            num = mass(lab, m, seen)
+            lw += math.log(num) - math.log(theta_eff + step) if num > 0 else -math.inf
+            seen[lab] = seen.get(lab, 0) + 1
+        logs.append(lw)
+    logs = np.array(logs)
+    return np.exp(logs - logsumexp_1d(logs))
+
+
+def _urn_pmf(law: _MixtureBase, history, log_extra=None) -> dict[str, float]:
+    """Next-sample law of the urn mixture of ``law`` given ``history``; see
+    predictive_pmf.  ``log_extra`` is as in _component_weights."""
+    base, registry = law.base, law.registry
+    weights = _component_weights(law.components, base, registry, history, log_extra)
+    mass = _urn_mass(base, registry)
+    counts: dict[str, int] = {}
+    for lab in history:
+        counts[lab] = counts.get(lab, 0) + 1
+    out = dict.fromkeys(
+        (*registry.labels, *_idle_atoms(base, registry), *counts, NEW_LABEL), 0.0
+    )
+    for w, (_, m) in zip(weights, law.components):
+        denom = base.theta + m.total + len(history)
+        for lab in out:
+            out[lab] += w * mass(lab, m, counts) / denom
+    return out
+
+
 def predictive_pmf(
     law: DirichletMixtureLaw, history: tuple[str, ...] = ()
 ) -> dict[str, float]:
     """Distribution of the next sample drawn from the smoothed population.
 
-    Mixes the urn of every component: mass at a known label is proportional
-    to its parameter mass plus its count among earlier further samples; the
-    NEW_LABEL entry carries the base-measure mass off the known atoms.
+    Mixes the urn of every component, with component weights conditioned on
+    the earlier further samples ``history``: mass at a label is proportional
+    to its parameter mass plus its count in ``history``; base-measure atoms
+    the data never shows get their own labels, and the NEW_LABEL entry
+    carries the base-measure mass off every specified atom.
     """
-    theta = law.base.theta
-    registry = law.registry
-    alpha_vec = (
-        (0.0,) * registry.k
-        if law.base.is_nonatomic
-        else law.base.alpha_vector(registry)
-    )
-    hist_counts: dict[str, int] = {}
-    for lab in history:
-        hist_counts[lab] = hist_counts.get(lab, 0) + 1
-    extra = [lab for lab in hist_counts if lab not in registry]
-    out = {lab: 0.0 for lab in registry.labels}
-    for lab in extra:
-        out[lab] = 0.0
-    out[NEW_LABEL] = 0.0
-    k_hist = len(history)
-    new_mass = theta * law.base.unseen_mass
-    for lw, m in law.components:
-        w = math.exp(lw)
-        denom = theta + m.total + k_hist
-        for j, lab in enumerate(registry.labels):
-            out[lab] += w * (alpha_vec[j] + m[j] + hist_counts.get(lab, 0)) / denom
-        for lab in extra:
-            out[lab] += w * hist_counts[lab] / denom
-        out[NEW_LABEL] += w * new_mass / denom
-    return out
+    return _urn_pmf(law, history)
 
 
 def _fresh_label(registry: TypeRegistry, used: set[str]) -> str:
@@ -545,42 +637,25 @@ def _fresh_label(registry: TypeRegistry, used: set[str]) -> str:
         i += 1
 
 
-_urn_table_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_table_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-class _UrnTables:
-    """Static arrays backing the predictive urn of one smoothing result."""
-
-    __slots__ = ("pair_cum", "atom_totals", "atom_cums", "base_labels", "base_cum")
-
-    def __init__(self, result: "FvSmoothingResult"):
-        pairs = list(result.pair_log_weights.items())
-        cum = np.cumsum([math.exp(lw) for _, lw in pairs])
-        self.pair_cum = cum / cum[-1]
-        totals = []
-        cums = []
-        for (k, kp), _ in pairs:
-            m = k + result.n_now + kp
-            totals.append(float(m.total))
-            cums.append(np.cumsum(m.counts, dtype=float))
-        self.atom_totals = totals
-        self.atom_cums = cums
-        base = result.law.base
-        if base.is_nonatomic:
-            self.base_labels: tuple[str, ...] = ()
-            self.base_cum = np.zeros(0)
-        else:
-            assert base.atom_probs is not None
-            self.base_labels = tuple(base.atom_probs.keys())
-            self.base_cum = np.cumsum(list(base.atom_probs.values()))
-
-
-def _urn_tables(result: "FvSmoothingResult") -> _UrnTables:
-    tables = _urn_table_cache.get(result)
+def _cached_tables(owner, build):
+    """Sampler tables of ``owner``, built once and kept while it lives."""
+    tables = _table_cache.get(owner)
     if tables is None:
-        tables = _UrnTables(result)
-        _urn_table_cache[result] = tables
+        tables = _table_cache[owner] = build(owner)
     return tables
+
+
+def _pair_components(result: "FvSmoothingResult"):
+    """Components of the retained pairs of ``result``, in pair order, with
+    their cumulative normalized weights."""
+    comps = [
+        (lw, k + result.n_now + kp) for (k, kp), lw in result.pair_log_weights.items()
+    ]
+    cum = np.cumsum([math.exp(lw) for lw, _ in comps])
+    return comps, cum / cum[-1]
 
 
 def predictive_sample(
@@ -591,34 +666,42 @@ def predictive_sample(
 ) -> list[str]:
     """Sample further observations sequentially from the smoothed urn mixture.
 
-    Each draw picks a retained pair by its smoothing weight, then one of
+    Picks one retained pair by its smoothing weight conditioned on
+    ``history``, then runs that pair's Polya urn: each draw comes from one of
     three sources with probabilities proportional to (theta, retained atom
     count, number of earlier further samples): the base measure, the
     weighted observed atoms, or the empirical history.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
-    tables = _urn_tables(result)
+    components, cum = _cached_tables(result, _pair_components)
     base = result.law.base
     registry = result.law.registry
     theta = base.theta
     hist = list(history)
     used: set[str] = set(hist)
+    if hist:
+        cum = np.cumsum(_component_weights(components, base, registry, hist))
+        cum /= cum[-1]
+    m = components[int(np.searchsorted(cum, rng.random(), side="right"))][1]
+    total = float(m.total)
+    atom_cum = np.cumsum(m.counts, dtype=float)
+    atoms = base.atom_probs or {}
+    base_labels = tuple(atoms)
+    base_cum = np.cumsum(list(atoms.values()))
     out: list[str] = []
     for _ in range(count):
-        pi = int(np.searchsorted(tables.pair_cum, rng.random(), side="right"))
-        total = tables.atom_totals[pi]
         denom = theta + total + len(hist)
         v = rng.random() * denom
         if v < theta:
             u = v / theta
-            j = int(np.searchsorted(tables.base_cum, u, side="right"))
-            if j < len(tables.base_labels):
-                lab = tables.base_labels[j]
+            j = int(np.searchsorted(base_cum, u, side="right"))
+            if j < len(base_labels):
+                lab = base_labels[j]
             else:
                 lab = _fresh_label(registry, used)
         elif v < theta + total:
-            j = int(np.searchsorted(tables.atom_cums[pi], v - theta, side="right"))
+            j = int(np.searchsorted(atom_cum, v - theta, side="right"))
             lab = registry.labels[j]
         else:
             lab = hist[min(int(v - theta - total), len(hist) - 1)]

@@ -65,8 +65,10 @@ class RunConfig:
             raise SchemaError("beta is required exactly when model is 'dw'")
         if not 0.0 <= self.pruning_epsilon <= 1e-3:
             raise SchemaError("pruning_epsilon must lie in [0, 1e-3]")
-        if self.ode_tolerance <= 0.0:
-            raise SchemaError("ode_tolerance must be positive")
+        for key in ("theta", "beta", "ode_tolerance", "dw_rate_constant"):
+            value = getattr(self, key)
+            if value is not None and not 0.0 < value < math.inf:
+                raise SchemaError(f"{key} must be finite and > 0, got {value}")
 
 
 def parse_config_text(text: str, env: dict[str, str] | None = None) -> RunConfig:
@@ -167,10 +169,8 @@ def parse_timeline_text(text: str, aggregate: bool = False) -> ObservationTimeli
         count = _parse_count(row[cols["count"]].strip(), lineno)
         if label not in labels:
             labels.append(label)
-        if mode == "fv":
-            key = (time, label)
-        else:
-            key = (time, row[cols["draw"]].strip(), label)
+        draw = row[cols["draw"]].strip() if mode == "dw" else ""
+        key = (time, draw, label)
         if key in records:
             if not aggregate:
                 raise OrderError(f"line {lineno}: duplicate record {key!r}")
@@ -180,33 +180,17 @@ def parse_timeline_text(text: str, aggregate: bool = False) -> ObservationTimeli
     if not records:
         raise SchemaError("at least one time required")
     registry = TypeRegistry(tuple(labels))
-    times = sorted({key[0] for key in records})
+    # count vectors per time and draw, draws in order of first appearance
+    # (the frequency model has one unnamed draw per time)
+    blocks: dict[float, dict[str, list[int]]] = {}
+    for (time, draw, label), c in records.items():
+        vec = blocks.setdefault(time, {}).setdefault(draw, [0] * registry.k)
+        vec[registry.index_of(label)] = c
+    times = tuple(sorted(blocks))
+    draws = tuple(tuple(MultiIndex(v) for v in blocks[t].values()) for t in times)
     if mode == "fv":
-        counts = []
-        for t in times:
-            vec = [0] * registry.k
-            for (time, label), c in records.items():
-                if time == t:
-                    vec[registry.index_of(label)] = c
-            counts.append(MultiIndex(vec))
-        return ObservationTimeline(tuple(times), registry, tuple(counts))
-    draws_per_time = []
-    for t in times:
-        draw_ids: list[str] = []
-        for time, draw, _ in records:
-            if time == t and draw not in draw_ids:
-                draw_ids.append(draw)
-        draws = []
-        for d in draw_ids:
-            vec = [0] * registry.k
-            for (time, draw, label), c in records.items():
-                if time == t and draw == d:
-                    vec[registry.index_of(label)] = c
-            draws.append(MultiIndex(vec))
-        draws_per_time.append(tuple(draws))
-    return ObservationTimeline(
-        tuple(times), registry, dw_draws=tuple(draws_per_time)
-    )
+        return ObservationTimeline(times, registry, tuple(d[0] for d in draws))
+    return ObservationTimeline(times, registry, dw_draws=draws)
 
 
 def load_timeline(path: str, aggregate: bool = False) -> ObservationTimeline:
@@ -224,31 +208,21 @@ def serialize_timeline(timeline: ObservationTimeline) -> str:
     order, zero counts kept only to record otherwise-empty times or draws."""
     out = _io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    registry = timeline.registry
-    if timeline.mode == "fv":
-        writer.writerow(_FV_FIELDS)
-        for i, t in enumerate(timeline.times):
-            vec = timeline.fv_counts[i]
-            rows = [
-                (format_float(t), lab, vec[j])
-                for j, lab in enumerate(registry.labels)
-                if vec[j] > 0
-            ]
-            if not rows:
-                rows = [(format_float(t), registry.labels[0], 0)]
-            writer.writerows(rows)
-        return out.getvalue()
-    writer.writerow(_DW_FIELDS)
+    labels = timeline.registry.labels
+    fv = timeline.mode == "fv"
+    writer.writerow(_FV_FIELDS if fv else _DW_FIELDS)
     for i, t in enumerate(timeline.times):
-        for d, vec in enumerate(timeline.dw_draws[i]):
-            rows = [
-                (format_float(t), str(d + 1), lab, vec[j])
-                for j, lab in enumerate(registry.labels)
-                if vec[j] > 0
+        # one block of rows per time (fv) or per draw (dw), led by its key fields
+        if fv:
+            blocks = [((format_float(t),), timeline.fv_counts[i])]
+        else:
+            blocks = [
+                ((format_float(t), str(d + 1)), vec)
+                for d, vec in enumerate(timeline.dw_draws[i])
             ]
-            if not rows:
-                rows = [(format_float(t), str(d + 1), registry.labels[0], 0)]
-            writer.writerows(rows)
+        for key, vec in blocks:
+            rows = [(*key, lab, vec[j]) for j, lab in enumerate(labels) if vec[j] > 0]
+            writer.writerows(rows or [(*key, labels[0], 0)])
     return out.getvalue()
 
 

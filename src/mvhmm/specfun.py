@@ -22,7 +22,6 @@ __all__ = [
     "log_neg_bin_pmf",
     "log_binom_pmf",
     "log_pochhammer",
-    "log_factorial",
     "log_falling_binom",
 ]
 
@@ -204,12 +203,6 @@ def log_pochhammer(a: float, n: int) -> float:
     if a <= 0.0:
         raise DomainError(f"nonpositive base {a}")
     return math.lgamma(a + n) - math.lgamma(a)
-
-
-def log_factorial(n: int) -> float:
-    if n < 0:
-        raise DomainError(f"negative argument {n}")
-    return math.lgamma(n + 1)
 
 
 def log_falling_binom(n: int, k: int) -> float:

@@ -231,3 +231,27 @@ def test_validate_plumbing(files, capsys, monkeypatch):
     assert run(["validate", "--config", cfg, "--suite", "duality"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "failures 1" in out
+
+
+def test_non_finite_theta_config_exits_1(files, capsys):
+    cfg = files("cfg", "model = fv\ntheta = nan\n")
+    data = files("data.csv", FV_DATA)
+    assert run(["smooth", "--config", cfg, "--data", data, "--at", "0"]) == 1
+    assert "theta" in capsys.readouterr().err
+
+
+def test_predict_pmf_lists_configured_atoms_the_data_never_shows(files, capsys):
+    cfg = files(
+        "cfg", "model = fv\ntheta = 2.0\nbase = discrete\n"
+        "atom.A = 0.3\natom.B = 0.3\natom.C = 0.4\n",
+    )
+    data = files("data.csv", FV_DATA)
+    assert run(
+        ["predict", "--config", cfg, "--data", data, "--at", "1", "--pmf"]
+    ) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "label C" in lines
+    probs = [
+        float(line.split()[1]) for line in lines if line.startswith("probability ")
+    ]
+    assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)

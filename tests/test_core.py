@@ -15,7 +15,11 @@ from mvhmm.core import (
     merge_registries,
     normalize,
 )
-from mvhmm.errors import AllWeightsZero, DomainError
+from mvhmm.dual import DwDualSpec, FvDualSpec
+from mvhmm.dw import propagate_dw
+from mvhmm.errors import AllWeightsZero, DomainError, SchemaError
+from mvhmm.fv import propagate_forward
+from mvhmm.io import parse_config_text
 
 
 @pytest.fixture
@@ -218,3 +222,61 @@ class TestGammaLaw:
         pruned = law.pruned(1e-12)
         assert len(pruned) == 1
         assert pruned.weight_sum() == pytest.approx(1.0, abs=1e-14)
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+def _law(cls, *rate):
+    comps = [(0.0, MultiIndex((3,)))]
+    return cls.from_components(comps, BaseMeasure(1.0), TypeRegistry(("a",)), *rate)
+
+
+def _config(extra):
+    return parse_config_text("model = dw\ntheta = 1\nbeta = 1\n" + extra, env={})
+
+
+@pytest.mark.parametrize(
+    "make,error",
+    [
+        (lambda: BaseMeasure(NAN), DomainError),
+        (lambda: BaseMeasure(INF), DomainError),
+        (lambda: FvDualSpec(NAN), DomainError),
+        (lambda: FvDualSpec(INF), DomainError),
+        (
+            lambda: GammaMixtureLaw.prior(BaseMeasure(1.0), TypeRegistry(("a",)), NAN),
+            DomainError,
+        ),
+        (lambda: DwDualSpec(1.0, NAN), DomainError),
+        (lambda: DwDualSpec(1.0, 1.0, 0.0, NAN), DomainError),
+        (lambda: _config("beta = nan\n"), SchemaError),
+        (lambda: _config("ode_tolerance = nan\n"), SchemaError),
+        (lambda: _config("dw_rate_constant = nan\n"), SchemaError),
+        (lambda: _config("dw_rate_constant = inf\n"), SchemaError),
+        (
+            lambda: ObservationTimeline(
+                (0.0, INF), TypeRegistry(("a",)), (MultiIndex((1,)), MultiIndex((1,)))
+            ),
+            DomainError,
+        ),
+        (
+            lambda: ObservationTimeline(
+                (NAN,), TypeRegistry(("a",)), (MultiIndex((1,)),)
+            ),
+            DomainError,
+        ),
+        (lambda: propagate_forward(_law(DirichletMixtureLaw), NAN), DomainError),
+        (lambda: propagate_dw(_law(GammaMixtureLaw, 1.0), NAN), DomainError),
+    ],
+    ids=[
+        "theta-nan", "theta-inf", "fv-spec-theta-nan", "fv-spec-theta-inf",
+        "law-beta-nan", "dw-spec-beta-nan", "dw-spec-kappa-nan", "config-beta-nan",
+        "config-ode-tolerance-nan", "config-rate-constant-nan",
+        "config-rate-constant-inf", "time-inf", "time-nan", "fv-step-nan",
+        "dw-step-nan",
+    ],
+)
+def test_non_finite_inputs_rejected(make, error):
+    with pytest.raises(error):
+        make()

@@ -444,6 +444,26 @@ class TestPredictDraw:
             se = math.sqrt(max(p * (1 - p), 1 / reps) / reps)
             assert abs(freq - p) <= 3.5 * se
 
+    def test_idle_atom_label(self, reg2):
+        # configured atom "c" never shows in the data: the label pmf keeps its
+        # mass, and the draw sampler produces it at that rate
+        base = BaseMeasure(2.0, {"a": 0.3, "b": 0.3, "c": 0.4})
+        tl = mk_dw_timeline(reg2, (0.0, 0.5), [[(2, 1)], [(1, 0)]])
+        result = smooth_dw(tl, 1, base, 1.0)
+        pmf = predictive_label_pmf(result.law, (), m_count=1)
+        assert math.fsum(pmf.values()) == pytest.approx(1.0, abs=1e-12)
+        assert pmf[NEW_LABEL] == pytest.approx(0.0, abs=1e-15)
+        given = predictive_label_pmf(result.law, ("c",), m_count=2)
+        assert math.fsum(given.values()) == pytest.approx(1.0, abs=1e-12)
+        assert given["c"] > pmf["c"]
+        rng = np.random.default_rng(11)
+        reps = 20_000
+        hits = sum(
+            predict_draw(result.law, rng, m_count=1)[1][0] == "c" for _ in range(reps)
+        )
+        se = math.sqrt(pmf["c"] * (1 - pmf["c"]) / reps)
+        assert abs(hits / reps - pmf["c"]) <= 3.5 * se
+
     def test_sampled_sizes_match_pmf(self, reg2, flat2):
         tl = mk_dw_timeline(reg2, (0.0, 0.5), [[(1, 1)], [(1, 0)]])
         result = smooth_dw(tl, 1, flat2, 1.0)

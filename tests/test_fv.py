@@ -489,6 +489,67 @@ class TestPredictive:
             se = math.sqrt(max(p * (1 - p), 1 / reps) / reps)
             assert abs(freq - p) <= 3.5 * se
 
+    def test_history_and_two_draws_follow_the_urn_mixture(self, reg2):
+        # a further sample sequence picks one component, then runs its Polya
+        # urn, so the second draw and the pmf given a history depend on the
+        # first draw through the component posterior
+        base = BaseMeasure(1.0, {"a": 0.5, "b": 0.5})
+        tl = mk_timeline(reg2, (0.0, 0.05, 0.1), [(6, 0), (0, 0), (0, 6)])
+        result = smooth(tl, 1, base)
+        assert len(result.law) == 49
+        alpha = base.alpha_vector(reg2)
+        joint = {}
+        for x in (0, 1):
+            for y in (0, 1):
+                joint[(reg2.labels[x], reg2.labels[y])] = math.fsum(
+                    math.exp(lw)
+                    * (alpha[x] + m[x])
+                    / (base.theta + m.total)
+                    * (alpha[y] + m[y] + (x == y))
+                    / (base.theta + m.total + 1)
+                    for lw, m in result.law.components
+                )
+        assert joint[("a", "a")] == pytest.approx(0.27697, abs=5e-6)
+        conditional = joint[("a", "a")] / (joint[("a", "a")] + joint[("a", "b")])
+        assert conditional == pytest.approx(0.55395, abs=5e-6)
+        pmf = predictive_pmf(result.law, ("a",))
+        assert pmf["a"] == pytest.approx(conditional, abs=1e-12)
+        assert pmf["b"] == pytest.approx(1.0 - conditional, abs=1e-12)
+        rng = np.random.default_rng(2024)
+        reps = 100_000
+        counts: dict[tuple[str, ...], int] = {}
+        for _ in range(reps):
+            key = tuple(predictive_sample(result, 2, rng))
+            counts[key] = counts.get(key, 0) + 1
+        assert set(counts) <= set(joint)
+        for pair, p in joint.items():
+            freq = counts.get(pair, 0) / reps
+            assert abs(freq - p) <= 3.0 * math.sqrt(p * (1 - p) / reps)
+        reps = 40_000
+        hits = sum(
+            predictive_sample(result, 1, rng, history=("a",))[0] == "a"
+            for _ in range(reps)
+        )
+        se = math.sqrt(conditional * (1 - conditional) / reps)
+        assert abs(hits / reps - conditional) <= 3.0 * se
+
+    def test_idle_atoms_get_their_own_labels(self, reg2):
+        # configured atom "c" never shows in the data: it keeps its mass
+        # theta * 0.4 plus its count among earlier further samples
+        base = BaseMeasure(2.0, {"a": 0.3, "b": 0.3, "c": 0.4})
+        tl = mk_timeline(reg2, (0.0, 0.4, 1.0), [(2, 0), (1, 1), (0, 2)])
+        result = smooth(tl, 1, base)
+        for history in ((), ("c",), ("c", "a", "c")):
+            pmf = predictive_pmf(result.law, history)
+            assert list(pmf)[:3] == ["a", "b", "c"]
+            assert math.fsum(pmf.values()) == pytest.approx(1.0, abs=1e-12)
+        assert predictive_pmf(result.law)[NEW_LABEL] == pytest.approx(0.0, abs=1e-15)
+        law = DirichletMixtureLaw.from_components(
+            [(0.0, MultiIndex((1, 1)))], base, reg2
+        )
+        pmf = predictive_pmf(law, ("c",))
+        assert pmf["c"] == pytest.approx((0.8 + 1) / (2.0 + 2 + 1), abs=1e-14)
+
     def test_theta_to_zero_no_new_mass(self, reg2):
         base = BaseMeasure(1e-8)
         tl = mk_timeline(reg2, (0.0, 0.5), [(1, 0), (1, 1)])
