@@ -105,6 +105,8 @@ def _cmd_smooth(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    if args.samples < 0:
+        raise MvhmmError(f"--samples must be >= 0, got {args.samples}")
     config, timeline = _load(args)
     rng = np.random.default_rng(config.seed)
     lines = [

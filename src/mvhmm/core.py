@@ -9,6 +9,7 @@ mixture is built.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -263,28 +264,68 @@ class ObservationTimeline:
         return len(self.dw_draws[i])
 
 
-def _merge_components(
-    components: Iterable[tuple[float, MultiIndex]],
-) -> list[tuple[float, MultiIndex]]:
-    by_index: dict[MultiIndex, float] = {}
-    for lw, idx in components:
-        if lw == -math.inf:
-            continue
-        prev = by_index.get(idx)
-        by_index[idx] = lw if prev is None else float(np.logaddexp(prev, lw))
-    out = [(lw, idx) for idx, lw in by_index.items()]
-    out.sort(key=lambda pair: pair[1].counts)
-    return out
+def _row_codes(rows: np.ndarray) -> np.ndarray:
+    """One int64 code per row of the nonnegative integer matrix ``rows``:
+    equal rows share a code, and codes order as the rows do
+    lexicographically (mixed radix, the last column least significant)."""
+    codes = np.zeros(len(rows), dtype=np.int64)
+    span = 1
+    for col in rows.T:
+        radix = int(col.max()) + 1 if len(col) else 1
+        if span * radix > 2**62:  # re-rank first so the code cannot overflow
+            uniq, codes = np.unique(codes, return_inverse=True)
+            span = len(uniq)
+        codes = codes * radix + col
+        span *= radix
+    return codes
 
 
-def _normalize_components(
-    components: Sequence[tuple[float, MultiIndex]],
-) -> list[tuple[float, MultiIndex]]:
-    if not components:
+def _merged(
+    log_weights: np.ndarray, indices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Components with equal index rows folded into one, sorted
+    lexicographically by index; -inf weights drop.
+
+    Each fold is np.logaddexp over the group in the order it came (a stable
+    sort keeps that order, and reduceat folds left to right).
+    """
+    keep = log_weights != -math.inf
+    log_weights, indices = log_weights[keep], indices[keep]
+    if not len(log_weights):
+        return log_weights, indices
+    codes = _row_codes(indices)
+    order = np.argsort(codes, kind="stable")
+    starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
+    return np.logaddexp.reduceat(log_weights[order], starts), indices[order[starts]]
+
+
+def _normalized(log_weights: np.ndarray) -> np.ndarray:
+    if not len(log_weights):
         raise AllWeightsZero("mixture has no component with positive weight")
-    logs = np.array([lw for lw, _ in components])
-    shift = float(logsumexp_1d(logs))
-    return [(lw - shift, idx) for lw, idx in components]
+    return log_weights - logsumexp_1d(log_weights)
+
+
+def _canonical(
+    log_weights: np.ndarray, indices: np.ndarray, normalize: bool = True
+) -> tuple[tuple[float, MultiIndex], ...]:
+    """Mixture components from log-weight and index-row arrays: merged,
+    normalized if ``normalize``, as (log-weight, MultiIndex) pairs."""
+    log_weights, indices = _merged(log_weights, indices)
+    if normalize:
+        log_weights = _normalized(log_weights)
+    return tuple(zip(log_weights.tolist(), map(MultiIndex, indices.tolist())))
+
+
+def _component_arrays(
+    components: Iterable[tuple[float, MultiIndex]], k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    components = list(components)
+    for _, idx in components:
+        if len(idx) != k:
+            raise DomainError("component index length != registry size")
+    log_weights = np.array([lw for lw, _ in components], dtype=float)
+    indices = np.array([idx.counts for _, idx in components], dtype=np.int64)
+    return log_weights, indices.reshape(len(components), k)
 
 
 def logsumexp_1d(logs: np.ndarray) -> float:
@@ -317,19 +358,27 @@ class _MixtureBase:
     def __len__(self) -> int:
         return len(self.components)
 
-    def _renewed(self, components: Iterable[tuple[float, MultiIndex]]):
-        """The same law (base, registry, rate) with merged, normalized
-        ``components`` in place of its own."""
-        merged = _normalize_components(_merge_components(components))
-        return dataclasses.replace(self, components=tuple(merged))
+    @functools.cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The components as a log-weight vector and an index-row matrix."""
+        return _component_arrays(self.components, self.registry.k)
+
+    def _renewed(self, log_weights: np.ndarray, indices: np.ndarray):
+        """The same law (base, registry, rate) with the merged, normalized
+        components of ``log_weights`` and ``indices`` in place of its own."""
+        return dataclasses.replace(
+            self, components=_canonical(log_weights, indices)
+        )
 
     def pruned(self, epsilon: float):
         """Drop components with normalized weight < epsilon, then renormalize."""
         if epsilon <= 0.0:
             return self
-        return self._renewed(
-            (lw, idx) for lw, idx in self.components if math.exp(lw) >= epsilon
+        log_weights, indices = self._arrays
+        keep = np.array(
+            [math.exp(lw) >= epsilon for lw, _ in self.components], dtype=bool
         )
+        return self._renewed(log_weights[keep], indices[keep])
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,10 +401,8 @@ class DirichletMixtureLaw(_MixtureBase):
         registry: TypeRegistry,
         normalize: bool = True,
     ) -> "DirichletMixtureLaw":
-        merged = _merge_components(components)
-        if normalize:
-            merged = _normalize_components(merged)
-        return DirichletMixtureLaw(tuple(merged), base, registry)
+        arrays = _component_arrays(components, registry.k)
+        return DirichletMixtureLaw(_canonical(*arrays, normalize), base, registry)
 
     @staticmethod
     def prior(base: BaseMeasure, registry: TypeRegistry) -> "DirichletMixtureLaw":
@@ -404,10 +451,10 @@ class GammaMixtureLaw(_MixtureBase):
         rate_offset: float = 0.0,
         normalize: bool = True,
     ) -> "GammaMixtureLaw":
-        merged = _merge_components(components)
-        if normalize:
-            merged = _normalize_components(merged)
-        return GammaMixtureLaw(tuple(merged), base, registry, beta, rate_offset)
+        arrays = _component_arrays(components, registry.k)
+        return GammaMixtureLaw(
+            _canonical(*arrays, normalize), base, registry, beta, rate_offset
+        )
 
     @staticmethod
     def prior(
@@ -423,4 +470,4 @@ def normalize(law):
 
     Raises AllWeightsZero if every component has log-weight -inf.
     """
-    return law._renewed(law.components)
+    return law._renewed(*law._arrays)

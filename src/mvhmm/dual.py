@@ -281,6 +281,51 @@ def dw_typed_log_prob(
     return out
 
 
+def _triangle(top: int, fn) -> np.ndarray:
+    """Table of ``fn(n, k)`` for 0 <= k <= n <= top, one call per entry
+    (-inf above the diagonal)."""
+    out = np.full((top + 1, top + 1), -np.inf)
+    for n in range(top + 1):
+        out[n, : n + 1] = [fn(n, k) for k in range(n + 1)]
+    return out
+
+
+def _fv_typed_log_probs(
+    spec: FvDualSpec,
+    m: np.ndarray,
+    k: np.ndarray,
+    t: float,
+    rtol: float = DEFAULT_ODE_RTOL,
+) -> np.ndarray:
+    """fv_typed_log_prob from each row of ``m`` to the matching row of ``k``
+    (rows with k <= m), with the same floats, gathered from one totals table
+    per distinct starting total and a table of log_falling_binom."""
+    m_tot, k_tot = m.sum(axis=1), k.sum(axis=1)
+    top = int(m_tot.max(initial=0))
+    totals = np.full((top + 1, top + 1), -np.inf)
+    for n in np.unique(m_tot).tolist():
+        totals[n, : n + 1] = fv_totals_transition(spec.theta, n, t, rtol).log_probs
+    binom = _triangle(top, log_falling_binom)
+    out = totals[m_tot, k_tot] - binom[m_tot, k_tot]
+    for j in range(m.shape[1]):
+        out = out + binom[m[:, j], k[:, j]]
+    return out
+
+
+def _dw_typed_log_probs(
+    spec: DwDualSpec, m: np.ndarray, k: np.ndarray, t: float
+) -> np.ndarray:
+    """dw_typed_log_prob from each row of ``m`` to the matching row of ``k``
+    (rows with k <= m), with the same floats, gathered from a table of
+    log_binom_pmf at the one survival probability."""
+    q = dw_survival_prob(spec, t)
+    binom = _triangle(int(m.max(initial=0)), lambda n, j: log_binom_pmf(j, n, q))
+    out = np.zeros(len(m))
+    for j in range(m.shape[1]):
+        out = out + binom[m[:, j], k[:, j]]
+    return out
+
+
 @dataclass(frozen=True)
 class GillespieResult:
     """Empirical terminal-state frequencies with standard errors."""

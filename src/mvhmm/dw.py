@@ -17,7 +17,7 @@ weights are reweighted by the size likelihood and the elements drawn so far.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -29,13 +29,14 @@ from .core import (
     MultiIndex,
     ObservationTimeline,
     TypeRegistry,
+    _canonical,
     logsumexp_1d,
 )
 from .dual import (
     DEFAULT_DW_RATE_CONSTANT,
     DwDualSpec,
+    _dw_typed_log_probs,
     c_flow,
-    dw_typed_log_prob,
 )
 from .errors import DomainError
 from .fv import (
@@ -46,9 +47,11 @@ from .fv import (
     _idle_atoms,
     _one_step_pairs,
     _PairDecomposition,
+    _Pairs,
     _rescored,
     _result_from_pairs,
     _spread,
+    _table,
     _urn_pmf,
 )
 from .specfun import log_gamma_marginal, log_neg_bin_pmf
@@ -95,8 +98,8 @@ def update_gamma(
         total,
         lambda theta_eff: log_gamma_marginal(total.total, float(c), theta_eff, rate),
     )
-    return GammaMixtureLaw.from_components(
-        comps, law.base, law.registry, law.beta, law.rate_offset + c
+    return GammaMixtureLaw(
+        _canonical(*comps), law.base, law.registry, law.beta, law.rate_offset + c
     )
 
 
@@ -117,9 +120,13 @@ def propagate_dw(
     if dt == 0.0:
         return law
     spec = DwDualSpec(law.base.theta, law.beta, law.rate_offset, kappa)
-    comps = _spread(law.components, lambda m, k: dw_typed_log_prob(spec, m, k, dt))
-    return GammaMixtureLaw.from_components(
-        comps, law.base, law.registry, law.beta, c_flow(law.beta, law.rate_offset, dt)
+    comps = _spread(*law._arrays, lambda m, k: _dw_typed_log_probs(spec, m, k, dt))
+    return GammaMixtureLaw(
+        _canonical(*comps),
+        law.base,
+        law.registry,
+        law.beta,
+        c_flow(law.beta, law.rate_offset, dt),
     )
 
 
@@ -185,38 +192,28 @@ class DwSmoothingResult(_PairDecomposition):
 
     n_now: MultiIndex
     cardinality_now: int
-    pair_log_weights: dict[tuple[MultiIndex, MultiIndex], float]
     law: GammaMixtureLaw
-
-
-def _gamma_ratio_log(
-    s_tot: int,
-    k_tot: int,
-    n_tot: int,
-    kp_tot: int,
-    a_past: float,
-    c_now: float,
-    a_future: float,
-    theta: float,
-    beta: float,
-) -> float:
-    return (
-        log_gamma_marginal(s_tot, a_past + c_now + a_future, theta, beta)
-        - log_gamma_marginal(k_tot, a_past, theta, beta)
-        - log_gamma_marginal(n_tot, c_now, theta, beta)
-        - log_gamma_marginal(kp_tot, a_future, theta, beta)
-    )
+    _pairs: _Pairs = field(repr=False)
 
 
 def _gamma_pair_term(n_now, a_past, c_now, a_future, theta, beta):
-    """The total-count marginal ratio of a retained pair, as a function of
-    the pair (the branching model's extra pair term)."""
+    """The total-count marginal ratio of retained pairs as a function of
+    their totals |k| and |k'| (broadcast int arrays): the branching model's
+    extra pair term.  Each log_gamma_marginal is evaluated once per distinct
+    total."""
+    n_tot = n_now.total
 
-    def term(k: MultiIndex, kp: MultiIndex) -> float:
-        s = k.total + n_now.total + kp.total
-        return _gamma_ratio_log(
-            s, k.total, n_now.total, kp.total, a_past, c_now, a_future, theta, beta
-        )
+    def marginals(a, top):
+        return _table(lambda v: log_gamma_marginal(v, a, theta, beta), top)
+
+    def term(k_tot: np.ndarray, kp_tot: np.ndarray) -> np.ndarray:
+        k_top, kp_top = int(k_tot.max()), int(kp_tot.max())
+        at_sums = marginals(a_past + c_now + a_future, k_top + n_tot + kp_top)
+        at_now = log_gamma_marginal(n_tot, c_now, theta, beta)
+        return (
+            (at_sums[k_tot + n_tot + kp_tot] - marginals(a_past, k_top)[k_tot])
+            - at_now
+        ) - marginals(a_future, kp_top)[kp_tot]
 
     return term
 
@@ -246,22 +243,25 @@ def one_step_smoothing_dw(
     a_future = c_flow(beta, float(c_future), d_future)
     spec_past = DwDualSpec(theta, beta, float(c_past), kappa)
     spec_future = DwDualSpec(theta, beta, float(c_future), kappa)
-    raw = _one_step_pairs(
+    pairs = _one_step_pairs(
         n_past,
         n_now,
         n_future,
         base,
         registry,
-        lambda m, k: dw_typed_log_prob(spec_past, m, k, d_past),
-        lambda m, k: dw_typed_log_prob(spec_future, m, k, d_future),
+        lambda m, k: _dw_typed_log_probs(spec_past, m, k, d_past),
+        lambda m, k: _dw_typed_log_probs(spec_future, m, k, d_future),
         _gamma_pair_term(n_now, a_past, float(c_now), a_future, theta, beta),
     )
-    comps = [(lw, k + n_now + kp) for (k, kp), lw in raw.items()]
     reg = registry if registry is not None else TypeRegistry(
         tuple(f"y{j}" for j in range(len(n_now)))
     )
-    return GammaMixtureLaw.from_components(
-        comps, base, reg, beta, a_past + c_now + a_future
+    return GammaMixtureLaw(
+        _canonical(pairs.log_weights, pairs.indices(n_now)),
+        base,
+        reg,
+        beta,
+        a_past + c_now + a_future,
     )
 
 
@@ -288,17 +288,17 @@ def smooth_dw(
         n_now, v1.rate_offset, c_now, v2.rate_offset, base.theta, beta
     )
     alpha_vec = base.alpha_vector(timeline.registry)
-    raw = _combine_pairs(v1.components, v2.components, n_now, base, alpha_vec, extra)
+    pairs = _combine_pairs(v1._arrays, v2._arrays, n_now, base, alpha_vec, extra)
     offset = v1.rate_offset + c_now + v2.rate_offset
     pairs, law = _result_from_pairs(
-        raw,
+        pairs,
         n_now,
         pruning_epsilon,
-        lambda comps: GammaMixtureLaw.from_components(
-            comps, base, timeline.registry, beta, offset
+        lambda log_weights, indices: GammaMixtureLaw(
+            _canonical(log_weights, indices), base, timeline.registry, beta, offset
         ),
     )
-    return DwSmoothingResult(n_now, c_now, pairs, law)
+    return DwSmoothingResult(n_now, c_now, law, pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,23 @@ Pochhammer/factorial coefficients.
 The filter loop, lattice spread, pair combination, pruning and predictive
 urn below serve both models: the branching engine (dw.py) passes in its own
 update, propagation and total-count pair term.
+
+Mixtures enter these kernels as a log-weight vector and an index-row matrix.
+The lattice spread builds every lattice point at once and gathers transition
+log-probabilities from tables; the pair combination scores all forward x
+backward pairs by broadcasting.  Each scalar term is evaluated once per
+distinct argument by the scalar function that defines it and then gathered,
+keeping the order of additions of the per-pair formulas below, so the
+weights are the same floats those formulas give.  Smoothing results hold
+their pairs as arrays and build ``pair_log_weights`` on first access.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,10 +46,12 @@ from .core import (
     ObservationTimeline,
     TypeRegistry,
     _MixtureBase,
+    _normalized,
+    _row_codes,
     logsumexp_1d,
 )
-from .dual import DEFAULT_ODE_RTOL, FvDualSpec, fv_typed_log_prob
-from .errors import DomainError
+from .dual import DEFAULT_ODE_RTOL, FvDualSpec, _fv_typed_log_probs
+from .errors import AllWeightsZero, DomainError
 from .specfun import log_dir_cat, log_pochhammer
 
 __all__ = [
@@ -72,13 +84,7 @@ NEW_LABEL = "<new>"
 
 
 def _carriers(law: DirichletMixtureLaw) -> tuple[bool, ...]:
-    k = law.registry.k
-    out = [False] * k
-    for _, idx in law.components:
-        for j in range(k):
-            if idx[j] > 0:
-                out[j] = True
-    return tuple(out)
+    return tuple((law._arrays[1] > 0).any(axis=0).tolist())
 
 
 def observation_log_score(
@@ -118,24 +124,27 @@ def observation_log_score(
     return out
 
 
-def _rescored(law: _MixtureBase, n: MultiIndex, log_extra=None) -> list:
-    """Components of ``law`` conditioned on the total counts ``n``.
+def _rescored(law: _MixtureBase, n: MultiIndex, log_extra=None):
+    """Components of ``law`` conditioned on the total counts ``n``, as
+    (log-weights, index rows).
 
     Indices shift by n; log-weights gain ``log_extra(theta + |m|)``, if
     given, and the observation score.  Components the score rules out drop.
     """
     alpha_vec = law.base.alpha_vector(law.registry)
     carriers = _carriers(law)
-    comps = []
-    for lw, m in law.components:
+    kept, log_weights = [], []
+    for row, (lw, m) in enumerate(law.components):
         theta_eff = law.base.theta + m.total
         score = observation_log_score(m, n, law.base, alpha_vec, carriers, theta_eff)
         if score == -math.inf:
             continue
         if log_extra is not None:
             lw += log_extra(theta_eff)
-        comps.append((lw + score, m + n))
-    return comps
+        kept.append(row)
+        log_weights.append(lw + score)
+    indices = law._arrays[1][kept] + np.array(n.counts, dtype=np.int64)
+    return np.array(log_weights, dtype=float), indices
 
 
 def update_dirichlet(law: DirichletMixtureLaw, n: MultiIndex) -> DirichletMixtureLaw:
@@ -148,7 +157,7 @@ def update_dirichlet(law: DirichletMixtureLaw, n: MultiIndex) -> DirichletMixtur
         raise DomainError("observation length != registry size")
     if n.is_zero():
         return law
-    return law._renewed(_rescored(law, n))
+    return law._renewed(*_rescored(law, n))
 
 
 # ---------------------------------------------------------------------------
@@ -156,16 +165,32 @@ def update_dirichlet(law: DirichletMixtureLaw, n: MultiIndex) -> DirichletMixtur
 # ---------------------------------------------------------------------------
 
 
-def _spread(components, log_prob) -> list:
-    """``components`` spread over the lattice below each index, with
-    transition log-probabilities ``log_prob(m, k)``; impossible moves drop."""
-    comps = []
-    for lw, m in components:
-        for k in m.lattice_below():
-            lp = log_prob(m, k)
-            if lp != -math.inf:
-                comps.append((lw + lp, k))
-    return comps
+def _lattices(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index row below each row of ``indices``, row after row, each
+    lattice in itertools.product order (the last type varies fastest).
+
+    Returns (owner, points): ``points[p]`` lies below ``indices[owner[p]]``.
+    """
+    sizes = indices + 1
+    counts = np.prod(sizes, axis=1)
+    owner = np.repeat(np.arange(len(indices)), counts)
+    rest = np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+    points = np.empty((len(owner), indices.shape[1]), dtype=np.int64)
+    for j in reversed(range(indices.shape[1])):
+        size = sizes[owner, j]
+        points[:, j] = rest % size
+        rest //= size
+    return owner, points
+
+
+def _spread(log_weights: np.ndarray, indices: np.ndarray, log_prob):
+    """Components spread over the lattice below each index, with transition
+    log-probabilities ``log_prob(m, k)`` from index rows m to rows k;
+    impossible moves drop.  Returns (log-weights, index rows)."""
+    owner, points = _lattices(indices)
+    lp = log_prob(indices[owner], points)
+    keep = lp != -math.inf
+    return log_weights[owner][keep] + lp[keep], points[keep]
 
 
 def propagate_forward(
@@ -182,7 +207,9 @@ def propagate_forward(
         return law
     spec = FvDualSpec(law.base.theta)
     return law._renewed(
-        _spread(law.components, lambda m, k: fv_typed_log_prob(spec, m, k, dt, rtol))
+        *_spread(
+            *law._arrays, lambda m, k: _fv_typed_log_probs(spec, m, k, dt, rtol)
+        )
     )
 
 
@@ -370,49 +397,130 @@ def discrete_case_log(
     )
 
 
-def _normalized(raw: dict) -> dict:
-    shift = logsumexp_1d(np.array(list(raw.values())))
-    return {key: lw - shift for key, lw in raw.items()}
+@dataclass(frozen=True, eq=False)
+class _Pairs:
+    """Log-weights of retained pairs (k, k'): k a row of ``past``, k' a row
+    of ``future``, at flat positions into past x future (row-major)."""
+
+    past: np.ndarray
+    future: np.ndarray
+    positions: np.ndarray
+    log_weights: np.ndarray
+
+    def indices(self, n_now: MultiIndex) -> np.ndarray:
+        """Mixture index rows k + n_now + k' of the pairs."""
+        rows, cols = np.divmod(self.positions, len(self.future))
+        n = np.array(n_now.counts, dtype=np.int64)
+        return self.past[rows] + n + self.future[cols]
+
+    def as_dict(self) -> dict[tuple[MultiIndex, MultiIndex], float]:
+        past = list(map(MultiIndex, self.past.tolist()))
+        future = list(map(MultiIndex, self.future.tolist()))
+        rows, cols = np.divmod(self.positions, len(self.future))
+        weights = self.log_weights.tolist()
+        return {
+            (past[i], future[j]): lw
+            for i, j, lw in zip(rows.tolist(), cols.tolist(), weights)
+        }
+
+
+def _table(fn, top: int) -> np.ndarray:
+    """``fn(v)`` for v = 0..top, one call each."""
+    return np.array([fn(v) for v in range(top + 1)], dtype=float)
+
+
+def _sharing_degrees(a: np.ndarray, n: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sharing_degree of every pair (row of a, row of b), as an |a| x |b| grid."""
+    degrees = 0
+    for j in range(len(n)):
+        pos = (a[:, j, None] > 0).astype(int) + int(n[j] > 0) + (b[None, :, j] > 0)
+        degrees = degrees + np.maximum(pos - 1, 0)
+    return np.broadcast_to(degrees, (len(a), len(b)))
+
+
+def _nonatomic_coefficients(a, n, b, theta: float) -> np.ndarray:
+    """nonatomic_log_coefficient of every pair (row of a, row of b), with
+    the same floats: each log-Pochhammer and log-gamma term is evaluated once
+    per distinct argument."""
+    k_tot, kp_tot = a.sum(axis=1)[:, None], b.sum(axis=1)[None, :]
+    top = int(k_tot.max() + kp_tot.max())
+    poch = _table(lambda v: log_pochhammer(theta, v), top)
+    poch_now = _table(lambda v: log_pochhammer(theta + int(n.sum()), v), top)
+    out = (poch[k_tot] + poch[kp_tot]) - poch_now[k_tot + kp_tot]
+    top = int(a.max(initial=0) + n.max(initial=0) + b.max(initial=0))
+    lgamma = _table(lambda v: math.lgamma(v) if v > 0 else 0.0, top)
+    for j in range(len(n)):
+        kj, nj, pj = a[:, j, None], int(n[j]), b[None, :, j]
+        s = kj + nj + pj
+        out = np.where(s > 0, out + lgamma[s], out)
+        out = np.where(kj > 0, out - lgamma[kj], out)
+        if nj > 0:
+            out = out - lgamma[nj]
+        out = np.where(pj > 0, out - lgamma[pj], out)
+    return out
+
+
+def _discrete_case_terms(a, n, b, alpha_vec, theta: float) -> np.ndarray:
+    """discrete_case_log of every pair (row of a, row of b), with the same
+    floats: log_dir_cat is evaluated once per row and once per distinct
+    summed index k + n + k'."""
+
+    def log_dir_cats(rows: np.ndarray) -> np.ndarray:
+        return np.array(
+            [log_dir_cat(r, alpha_vec, total=theta) for r in rows.tolist()],
+            dtype=float,
+        )
+
+    sums = (a[:, None, :] + n + b[None, :, :]).reshape(len(a) * len(b), len(n))
+    _, first, inverse = np.unique(
+        _row_codes(sums), return_index=True, return_inverse=True
+    )
+    at_sums = log_dir_cats(sums[first])[inverse].reshape(len(a), len(b))
+    at_now = log_dir_cat(n.tolist(), alpha_vec, total=theta)
+    return ((at_sums - log_dir_cats(a)[:, None]) - at_now) - log_dir_cats(b)[None, :]
 
 
 def _combine_pairs(
-    comps1, comps2, n_now: MultiIndex, base: BaseMeasure, alpha_vec, extra=None
-) -> dict[tuple[MultiIndex, MultiIndex], float]:
-    """Unnormalized pair log-weights from propagated filter components and
-    the case term.
+    first, second, n_now: MultiIndex, base: BaseMeasure, alpha_vec, extra=None
+) -> _Pairs:
+    """Unnormalized pair log-weights from propagated filter components,
+    each given as (log-weights, index rows), and the case term.
 
-    ``extra(k, k')``, if given, is a model-specific pair term added between
-    the filter weights and the case term (the branching model's total-count
-    marginal ratio).  Under a nonatomic base measure only the pairs of
-    maximal sharing degree survive the discretization limit.
+    ``extra(|k|, |k'|)``, if given, is a model-specific term of the two
+    totals (broadcast int arrays), added between the filter weights and the
+    case term (the branching model's total-count marginal ratio).  Under a
+    nonatomic base measure only the pairs of maximal sharing degree survive
+    the discretization limit.
     """
-    pairs = ((k, kp, lw1 + lw2) for lw1, k in comps1 for lw2, kp in comps2)
-    nonatomic = base.is_nonatomic
-    if nonatomic:
-        pairs = list(pairs)
-        degrees = [sharing_degree(k, n_now, kp) for k, kp, _ in pairs]
-        best = max(degrees)
-        pairs = [pair for pair, d in zip(pairs, degrees) if d == best]
-    theta = base.theta
-    raw = {}
-    for k, kp, lw in pairs:
-        if extra is not None:
-            lw += extra(k, kp)
-        if nonatomic:
-            raw[(k, kp)] = lw + nonatomic_log_coefficient(k, n_now, kp, theta)
-        else:
-            raw[(k, kp)] = lw + discrete_case_log(k, n_now, kp, alpha_vec, theta)
-    return raw
+    (lw1, a), (lw2, b) = first, second
+    n = np.array(n_now.counts, dtype=np.int64)
+    lw = lw1[:, None] + lw2[None, :]
+    if extra is not None:
+        lw = lw + extra(a.sum(axis=1)[:, None], b.sum(axis=1)[None, :])
+    if base.is_nonatomic:
+        lw = lw + _nonatomic_coefficients(a, n, b, base.theta)
+        degrees = _sharing_degrees(a, n, b).ravel()
+        positions = np.flatnonzero(degrees == degrees.max())
+    else:
+        lw = lw + _discrete_case_terms(a, n, b, alpha_vec, base.theta)
+        positions = np.arange(lw.size)
+    return _Pairs(a, b, positions, lw.ravel()[positions])
 
 
 class _PairDecomposition:
     """Accessors shared by the smoothing results of both models."""
 
-    pair_log_weights: dict[tuple[MultiIndex, MultiIndex], float]
+    _pairs: _Pairs
+
+    @functools.cached_property
+    def pair_log_weights(self) -> dict[tuple[MultiIndex, MultiIndex], float]:
+        """Normalized log-weights of the retained (k, k') pairs, built on
+        first access."""
+        return self._pairs.as_dict()
 
     @property
     def component_count(self) -> int:
-        return len(self.pair_log_weights)
+        return len(self._pairs.log_weights)
 
     def pair_weights(self) -> dict[tuple[MultiIndex, MultiIndex], float]:
         return {pair: math.exp(lw) for pair, lw in self.pair_log_weights.items()}
@@ -428,35 +536,37 @@ class FvSmoothingResult(_PairDecomposition):
     """
 
     n_now: MultiIndex
-    pair_log_weights: dict[tuple[MultiIndex, MultiIndex], float]
     law: DirichletMixtureLaw
+    _pairs: _Pairs = field(repr=False)
 
 
 def _result_from_pairs(
-    raw: dict[tuple[MultiIndex, MultiIndex], float],
-    n_now: MultiIndex,
-    pruning_epsilon: float,
-    make_law,
+    pairs: _Pairs, n_now: MultiIndex, pruning_epsilon: float, make_law
 ):
     """Normalize and prune the pair law, then merge it into the mixture
-    ``make_law`` builds from (log-weight, index) components.
+    ``make_law(log_weights, index_rows)`` builds.
 
     Returns (pairs, law).
     """
-    pairs = _normalized(raw)
+    log_weights = _normalized(pairs.log_weights)
+    positions = pairs.positions
     if pruning_epsilon > 0.0:
-        pairs = _normalized(
-            {pair: lw for pair, lw in pairs.items() if math.exp(lw) >= pruning_epsilon}
+        keep = np.array(
+            [math.exp(lw) >= pruning_epsilon for lw in log_weights.tolist()],
+            dtype=bool,
         )
-    return pairs, make_law([(lw, k + n_now + kp) for (k, kp), lw in pairs.items()])
+        positions, log_weights = positions[keep], _normalized(log_weights[keep])
+    pairs = replace(pairs, positions=positions, log_weights=log_weights)
+    return pairs, make_law(log_weights, pairs.indices(n_now))
 
 
 def _one_step_pairs(
     n_past, n_now, n_future, base, registry, log_prob_past, log_prob_future, extra=None
-) -> dict[tuple[MultiIndex, MultiIndex], float]:
+) -> _Pairs:
     """Unnormalized pair log-weights for a query flanked by single blocks:
     the pair combination of the two blocks spread with their transition
-    log-probabilities ``log_prob_past(m, k)`` and ``log_prob_future(m, k')``.
+    log-probabilities ``log_prob_past(m, k)`` and ``log_prob_future(m, k')``
+    over index rows.
     """
     k_size = len(n_now)
     if len(n_past) != k_size or len(n_future) != k_size:
@@ -467,9 +577,13 @@ def _one_step_pairs(
         raise DomainError("discrete base measure requires a matching registry")
     else:
         alpha_vec = base.alpha_vector(registry)
+
+    def block(n, log_prob):
+        return _spread(np.zeros(1), np.array([n.counts], dtype=np.int64), log_prob)
+
     return _combine_pairs(
-        _spread(((0.0, n_past),), log_prob_past),
-        _spread(((0.0, n_future),), log_prob_future),
+        block(n_past, log_prob_past),
+        block(n_future, log_prob_future),
         n_now,
         base,
         alpha_vec,
@@ -496,16 +610,16 @@ def one_step_smoothing_weights(
     A discrete base measure needs the registry to resolve its atom masses.
     """
     spec = FvDualSpec(base.theta)
-    raw = _one_step_pairs(
+    pairs = _one_step_pairs(
         n_past,
         n_now,
         n_future,
         base,
         registry,
-        lambda m, k: fv_typed_log_prob(spec, m, k, d_past, rtol),
-        lambda m, k: fv_typed_log_prob(spec, m, k, d_future, rtol),
+        lambda m, k: _fv_typed_log_probs(spec, m, k, d_past, rtol),
+        lambda m, k: _fv_typed_log_probs(spec, m, k, d_future, rtol),
     )
-    return _normalized(raw)
+    return replace(pairs, log_weights=_normalized(pairs.log_weights)).as_dict()
 
 
 def smooth(
@@ -526,9 +640,9 @@ def smooth(
     v2 = filter_backward(timeline, i, base, rtol)
     n_now = timeline.fv_counts[i]
     alpha_vec = base.alpha_vector(timeline.registry)
-    raw = _combine_pairs(v1.components, v2.components, n_now, base, alpha_vec)
-    pairs, law = _result_from_pairs(raw, n_now, pruning_epsilon, v1._renewed)
-    return FvSmoothingResult(n_now, pairs, law)
+    pairs = _combine_pairs(v1._arrays, v2._arrays, n_now, base, alpha_vec)
+    pairs, law = _result_from_pairs(pairs, n_now, pruning_epsilon, v1._renewed)
+    return FvSmoothingResult(n_now, law, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +705,10 @@ def _component_weights(
             seen[lab] = seen.get(lab, 0) + 1
         logs.append(lw)
     logs = np.array(logs)
-    return np.exp(logs - logsumexp_1d(logs))
+    shift = logsumexp_1d(logs)
+    if shift == -math.inf:
+        raise AllWeightsZero("history has probability zero under every component")
+    return np.exp(logs - shift)
 
 
 def _urn_pmf(law: _MixtureBase, history, log_extra=None) -> dict[str, float]:
@@ -651,10 +768,11 @@ def _cached_tables(owner, build):
 def _pair_components(result: "FvSmoothingResult"):
     """Components of the retained pairs of ``result``, in pair order, with
     their cumulative normalized weights."""
-    comps = [
-        (lw, k + result.n_now + kp) for (k, kp), lw in result.pair_log_weights.items()
-    ]
-    cum = np.cumsum([math.exp(lw) for lw, _ in comps])
+    pairs = result._pairs
+    log_weights = pairs.log_weights.tolist()
+    indices = map(MultiIndex, pairs.indices(result.n_now).tolist())
+    comps = list(zip(log_weights, indices))
+    cum = np.cumsum([math.exp(lw) for lw in log_weights])
     return comps, cum / cum[-1]
 
 

@@ -1,7 +1,15 @@
-"""Shared test utilities: randomized datasets and reference recursions."""
+"""Shared test utilities: randomized datasets and reference recursions.
+
+The scalar reference engine at the end (``reference_spread``,
+``reference_combine_pairs``, ``reference_merge`` and the filters and
+smoother built from them) makes one Python call per lattice point, per pair
+and per component.  The engine's array kernels must reproduce its floats
+exactly.
+"""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +21,7 @@ from mvhmm.core import (
     MultiIndex,
     ObservationTimeline,
     TypeRegistry,
+    logsumexp_1d,
 )
 from mvhmm.dual import (
     DEFAULT_DW_RATE_CONSTANT,
@@ -22,14 +31,18 @@ from mvhmm.dual import (
     dw_typed_log_prob,
     fv_typed_log_prob,
 )
-from mvhmm.dw import _gamma_ratio_log, propagate_dw, update_gamma
+from mvhmm.dw import propagate_dw, update_gamma
+from mvhmm.errors import AllWeightsZero
 from mvhmm.fv import (
     SharedAtomSets,
     discrete_case_log,
     nonatomic_log_coefficient,
+    observation_log_score,
     propagate_forward,
+    sharing_degree,
     update_dirichlet,
 )
+from mvhmm.specfun import log_gamma_marginal
 
 
 def random_dataset(rng: np.random.Generator, mode: str, base_kind: str):
@@ -226,7 +239,7 @@ def reference_smooth_pairs_dw(
                     else:
                         case = discrete_case_log(k, n_now, kp, alpha_vec, theta)
                     s = k.total + n_now.total + kp.total
-                    gpart = _gamma_ratio_log(
+                    gpart = gamma_ratio_log(
                         s,
                         k.total,
                         n_now.total,
@@ -247,3 +260,173 @@ def reference_smooth_pairs_dw(
     logs = np.array(list(raw.values()))
     shift = logs.max() + math.log(np.exp(logs - logs.max()).sum())
     return {key: lw - shift for key, lw in raw.items()}
+
+
+# ---------------------------------------------------------------------------
+# scalar reference engine
+# ---------------------------------------------------------------------------
+
+
+def gamma_ratio_log(
+    s_tot, k_tot, n_tot, kp_tot, a_past, c_now, a_future, theta, beta
+) -> float:
+    """The branching model's total-count marginal ratio of one pair."""
+    return (
+        log_gamma_marginal(s_tot, a_past + c_now + a_future, theta, beta)
+        - log_gamma_marginal(k_tot, a_past, theta, beta)
+        - log_gamma_marginal(n_tot, c_now, theta, beta)
+        - log_gamma_marginal(kp_tot, a_future, theta, beta)
+    )
+
+
+def reference_merge(components):
+    """Merge equal indices by np.logaddexp in first-seen order, drop -inf,
+    sort lexicographically, then normalize."""
+    by_index: dict[MultiIndex, float] = {}
+    for lw, idx in components:
+        if lw == -math.inf:
+            continue
+        prev = by_index.get(idx)
+        by_index[idx] = lw if prev is None else float(np.logaddexp(prev, lw))
+    out = [(lw, idx) for idx, lw in by_index.items()]
+    out.sort(key=lambda pair: pair[1].counts)
+    if not out:
+        raise AllWeightsZero("mixture has no component with positive weight")
+    shift = logsumexp_1d(np.array([lw for lw, _ in out]))
+    return tuple((lw - shift, idx) for lw, idx in out)
+
+
+def reference_normalized(raw: dict) -> dict:
+    shift = logsumexp_1d(np.array(list(raw.values())))
+    return {key: lw - shift for key, lw in raw.items()}
+
+
+def reference_spread(components, log_prob) -> list:
+    """Components spread over the lattice below each index, one
+    ``log_prob(m, k)`` call per lattice point; impossible moves drop."""
+    comps = []
+    for lw, m in components:
+        for k in m.lattice_below():
+            lp = log_prob(m, k)
+            if lp != -math.inf:
+                comps.append((lw + lp, k))
+    return comps
+
+
+def reference_combine_pairs(comps1, comps2, n_now, base, alpha_vec, extra=None):
+    """Unnormalized pair log-weights, one case-term call per pair."""
+    pairs = ((k, kp, lw1 + lw2) for lw1, k in comps1 for lw2, kp in comps2)
+    nonatomic = base.is_nonatomic
+    if nonatomic:
+        pairs = list(pairs)
+        degrees = [sharing_degree(k, n_now, kp) for k, kp, _ in pairs]
+        best = max(degrees)
+        pairs = [pair for pair, d in zip(pairs, degrees) if d == best]
+    theta = base.theta
+    raw = {}
+    for k, kp, lw in pairs:
+        if extra is not None:
+            lw += extra(k, kp)
+        if nonatomic:
+            raw[(k, kp)] = lw + nonatomic_log_coefficient(k, n_now, kp, theta)
+        else:
+            raw[(k, kp)] = lw + discrete_case_log(k, n_now, kp, alpha_vec, theta)
+    return raw
+
+
+def reference_update(law, block):
+    """Conjugate update of either model's law, scored component by component."""
+    gamma = isinstance(law, GammaMixtureLaw)
+    if gamma:
+        c = len(block)
+        if c == 0:
+            return law
+        n = sum(block, MultiIndex.zeros(law.registry.k))
+        rate = law.beta + law.rate_offset
+        changes = {"rate_offset": law.rate_offset + c}
+    else:
+        n = block
+        if n.is_zero():
+            return law
+        changes = {}
+    alpha_vec = law.base.alpha_vector(law.registry)
+    carriers = tuple(
+        any(idx[j] > 0 for _, idx in law.components) for j in range(law.registry.k)
+    )
+    comps = []
+    for lw, m in law.components:
+        theta_eff = law.base.theta + m.total
+        score = observation_log_score(m, n, law.base, alpha_vec, carriers, theta_eff)
+        if score == -math.inf:
+            continue
+        if gamma:
+            lw += log_gamma_marginal(n.total, float(c), theta_eff, rate)
+        comps.append((lw + score, m + n))
+    return dataclasses.replace(law, components=reference_merge(comps), **changes)
+
+
+def reference_propagate(law, dt, kappa=DEFAULT_DW_RATE_CONSTANT):
+    """Propagation of either model's law, one transition call per lattice
+    point."""
+    if dt == 0.0:
+        return law
+    if isinstance(law, GammaMixtureLaw):
+        spec = DwDualSpec(law.base.theta, law.beta, law.rate_offset, kappa)
+        comps = reference_spread(
+            law.components, lambda m, k: dw_typed_log_prob(spec, m, k, dt)
+        )
+        changes = {"rate_offset": c_flow(law.beta, law.rate_offset, dt)}
+    else:
+        spec = FvDualSpec(law.base.theta)
+        comps = reference_spread(
+            law.components, lambda m, k: fv_typed_log_prob(spec, m, k, dt)
+        )
+        changes = {}
+    return dataclasses.replace(law, components=reference_merge(comps), **changes)
+
+
+def reference_filter(timeline, i, base, beta=None, backward=False):
+    """filter_forward/filter_backward (``_dw`` when ``beta`` is given)."""
+    if beta is None:
+        law = DirichletMixtureLaw.prior(base, timeline.registry)
+        data = timeline.fv_counts
+    else:
+        law = GammaMixtureLaw.prior(base, timeline.registry, beta)
+        data = timeline.dw_draws
+    times = timeline.times
+    for j in range(timeline.n_times - 1, i, -1) if backward else range(i):
+        law = reference_update(law, data[j])
+        dt = times[j] - times[j - 1] if backward else times[j + 1] - times[j]
+        law = reference_propagate(law, dt)
+    return law
+
+
+def reference_smooth(timeline, i, base, pruning_epsilon, beta=None):
+    """smooth/smooth_dw: returns (pair log-weights, law)."""
+    v1 = reference_filter(timeline, i, base, beta)
+    v2 = reference_filter(timeline, i, base, beta, backward=True)
+    n_now = timeline.counts_at(i)
+    extra, changes = None, {}
+    if beta is not None:
+        c_now = timeline.cardinality_at(i)
+        a_past, a_future = v1.rate_offset, v2.rate_offset
+
+        def extra(k, kp):
+            s = k.total + n_now.total + kp.total
+            return gamma_ratio_log(
+                s, k.total, n_now.total, kp.total, a_past, c_now, a_future,
+                base.theta, beta,
+            )
+
+        changes = {"rate_offset": a_past + c_now + a_future}
+    alpha_vec = base.alpha_vector(timeline.registry)
+    raw = reference_combine_pairs(
+        v1.components, v2.components, n_now, base, alpha_vec, extra
+    )
+    pairs = reference_normalized(raw)
+    if pruning_epsilon > 0.0:
+        pairs = reference_normalized(
+            {pair: lw for pair, lw in pairs.items() if math.exp(lw) >= pruning_epsilon}
+        )
+    comps = [(lw, k + n_now + kp) for (k, kp), lw in pairs.items()]
+    return pairs, dataclasses.replace(v1, components=reference_merge(comps), **changes)

@@ -123,6 +123,19 @@ def test_predict_samples_reproducible(files, capsys):
     assert "n_samples 5" in first
 
 
+@pytest.mark.parametrize(
+    "config,data", [(FV_CONFIG, FV_DATA), (DW_CONFIG, DW_DATA)], ids=["fv", "dw"]
+)
+def test_predict_negative_samples_exits_1(files, capsys, config, data):
+    cfg = files("cfg", config)
+    path = files("data.csv", data)
+    args = ["predict", "--config", cfg, "--data", path, "--at", "1", "--samples", "-2"]
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--samples must be >= 0" in captured.err
+
+
 def test_dw_commands(files, capsys):
     cfg = files("cfg", DW_CONFIG)
     data = files("data.csv", DW_DATA)

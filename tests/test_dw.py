@@ -29,6 +29,7 @@ from mvhmm.dw import (
     smooth_dw,
     update_gamma,
 )
+from mvhmm.errors import AllWeightsZero
 from mvhmm.fv import NEW_LABEL, predictive_pmf
 from mvhmm.specfun import log_neg_bin_pmf
 
@@ -463,6 +464,15 @@ class TestPredictDraw:
         )
         se = math.sqrt(pmf["c"] * (1 - pmf["c"]) / reps)
         assert abs(hits / reps - pmf["c"]) <= 3.5 * se
+
+    def test_impossible_history_raises(self, reg2):
+        base = BaseMeasure(2.0, {"a": 0.3, "b": 0.3, "c": 0.4})
+        tl = mk_dw_timeline(reg2, (0.0, 0.5), [[(2, 1)], [(1, 0)]])
+        result = smooth_dw(tl, 1, base, 1.0)
+        history = ("c", "a", f"{NEW_LABEL}1")
+        for m_count in (None, 4):
+            with pytest.raises(AllWeightsZero):
+                predictive_label_pmf(result.law, history, m_count)
 
     def test_sampled_sizes_match_pmf(self, reg2, flat2):
         tl = mk_dw_timeline(reg2, (0.0, 0.5), [[(1, 1)], [(1, 0)]])

@@ -14,7 +14,7 @@ from mvhmm.core import (
     ObservationTimeline,
     TypeRegistry,
 )
-from mvhmm.errors import DomainError
+from mvhmm.errors import AllWeightsZero, DomainError
 from mvhmm.fv import (
     NEW_LABEL,
     SharedAtomSets,
@@ -549,6 +549,18 @@ class TestPredictive:
         )
         pmf = predictive_pmf(law, ("c",))
         assert pmf["c"] == pytest.approx((0.8 + 1) / (2.0 + 2 + 1), abs=1e-14)
+
+    def test_impossible_history_raises(self, reg2):
+        # the atoms carry the whole base mass, so a new label has urn mass 0
+        # under every component
+        base = BaseMeasure(2.0, {"a": 0.3, "b": 0.3, "c": 0.4})
+        tl = mk_timeline(reg2, (0.0, 0.4, 1.0), [(2, 0), (1, 1), (0, 2)])
+        result = smooth(tl, 1, base)
+        history = ("c", "a", f"{NEW_LABEL}1")
+        with pytest.raises(AllWeightsZero):
+            predictive_pmf(result.law, history)
+        with pytest.raises(AllWeightsZero):
+            predictive_sample(result, 1, np.random.default_rng(0), history)
 
     def test_theta_to_zero_no_new_mass(self, reg2):
         base = BaseMeasure(1e-8)
