@@ -9,20 +9,24 @@ Two chains are implemented:
   cardinality flow C_t, under which each lineage dies independently with
   hazard kappa*(beta + C_s), giving a product-of-binomials thinning law.
 
-Totals transition probabilities are computed by solving the Kolmogorov
-forward equations on the finite state space {0, ..., n} with adaptive-step
-integration; a known alternating-series closed form exists but is unstable
-for small t, so it is not used.  Tables are cached by exact key.
+Totals transition probabilities come from one matrix exponential of the
+bidiagonal generator on {0, ..., N} per (theta, t), which gives the law from
+every starting total at once; entries are accurate to about 1e-13 relative
+down to the double range, far tails included (the known alternating-series
+closed form is unstable for small t, so it is not used).  The matrices are
+cached, one per (theta, t), grown to the largest total asked for, up to
+_CACHE_BYTES in all.  The ``rtol`` parameters and DEFAULT_ODE_RTOL are
+kept for compatibility with callers that pass them and have no effect.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import MultiIndex
 from .errors import DomainError
@@ -53,6 +57,7 @@ __all__ = [
 # signal (see oracles.run_dual_rates_suite); 0.5 is the selected value.
 DEFAULT_DW_RATE_CONSTANT = 0.5
 
+# Default of the ``rtol`` parameters, which have no effect (see above).
 DEFAULT_ODE_RTOL = 1e-10
 
 
@@ -154,10 +159,11 @@ class TotalsTransitionTable:
             raise DomainError("table must cover states 0..n")
         if np.any(probs < -1e-12):
             raise DomainError("negative transition probability")
-        probs = np.clip(probs, 0.0, None)
+        probs = np.clip(probs, 0.0, 1.0)
         object.__setattr__(self, "probs", probs)
-        with np.errstate(divide="ignore"):
-            object.__setattr__(self, "log_probs", np.log(probs))
+        if self.log_probs is None:
+            with np.errstate(divide="ignore"):
+                object.__setattr__(self, "log_probs", np.log(probs))
 
     def prob(self, k: int) -> float:
         return float(self.probs[k])
@@ -166,37 +172,133 @@ class TotalsTransitionTable:
         return float(self.log_probs[k])
 
 
-_table_cache: dict[tuple, TotalsTransitionTable] = {}
-_cache_lock = threading.Lock()
+# Bytes of totals matrices (probabilities and logs) kept in the cache: a few
+# thousand matrices over totals below 32, a few dozen over totals near 100.
+_CACHE_BYTES = 32 << 20
+# Rows 0..15 come from the generator on {0..15}, rows 16..31 from the one on
+# {0..31}, and so on, so a row's floats do not depend on which rows were
+# asked for before.
+_FIRST_BLOCK = 16
+
+
+class _TableCache:
+    """Totals matrices and their logs by (theta, t); past _CACHE_BYTES the
+    least recently used are dropped."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._tables: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
+        self._bytes = 0
+
+    def get(self, key):
+        with self._lock:
+            tables = self._tables.get(key)
+            if tables is not None:
+                self._tables.move_to_end(key)
+            return tables
+
+    def put(self, key, tables) -> None:
+        with self._lock:
+            old = self._tables.pop(key, None)
+            if old is not None:
+                self._bytes -= 2 * old[0].nbytes
+            self._tables[key] = tables
+            self._bytes += 2 * tables[0].nbytes
+            while self._bytes > _CACHE_BYTES and len(self._tables) > 1:
+                probs, _ = self._tables.popitem(last=False)[1]
+                self._bytes -= 2 * probs.nbytes
+
+    def clear(self) -> None:
+        with self._lock:
+            self._tables.clear()
+            self._bytes = 0
+
+
+_table_cache = _TableCache()
 
 
 def clear_transition_cache() -> None:
-    with _cache_lock:
-        _table_cache.clear()
+    _table_cache.clear()
 
 
-def _solve_totals(theta: float, n: int, t: float, rtol: float) -> np.ndarray:
-    rates = np.array([i * (theta + i - 1) / 2.0 for i in range(n + 1)])
+def _totals_block(theta: float, t: float, size: int) -> np.ndarray:
+    """exp(tQ) for the totals chain on {0..size-1}: P[n, k] = P(|M_t| = k |
+    |M_0| = n), lower triangular.
 
-    def rhs(_, p):
-        out = -rates * p
-        out[:-1] += rates[1:] * p[1:]
-        return out
+    Uniformisation at rate L = lambda_{size-1} over a step tau with
+    x = L*tau <= 1 sums e^{-x} x^j/j! B^j, B = I + Q/L, whose terms are
+    nonnegative, so no entry suffers cancellation; the series runs until its
+    tail is below 1e-17 of every entry.  The step is then squared up to t,
+    resetting the diagonal and the subdiagonal to their closed forms after
+    each squaring (Al-Mohy & Higham 2009, code fragment 2.1) so that the
+    squarings do not compound the rounding of e^{-lambda_i tau}.
+    """
+    i = np.arange(size, dtype=float)
+    rates = i * (theta + i - 1) / 2.0
+    top, lam = size - 1, rates[-1]
+    squarings = 0 if lam * t <= 1.0 else math.ceil(math.log2(lam) + math.log2(t))
+    tau = math.ldexp(t, -squarings)
+    x = lam * tau
+    stay = (top - i) * (theta + top + i - 1) / (2.0 * lam)  # 1 - lambda_i / L
+    move = rates[1:, None] / lam
+    # Entry (n, k) needs n - k moves; the terms past j = n - k + r - 1 weigh
+    # at most x^r/r! e^x relative to it.
+    r, tail = 0, math.exp(x)
+    while tail > 1e-17:
+        r += 1
+        tail *= x / r
+    term = np.eye(size)
+    out = term.copy()
+    for j in range(1, top + r):
+        nxt = stay[:, None] * term
+        nxt[1:] += move * term[:-1]
+        term = nxt * (x / j)
+        out += term
+    out *= math.exp(-x)
+    gap = (theta + 2.0 * i[1:] - 2.0) / 2.0  # lambda_i - lambda_{i-1}
+    below = (np.arange(1, size), np.arange(top))
+    for s in range(squarings + 1):
+        if s:
+            out = out @ out
+        h = math.ldexp(tau, s)
+        np.fill_diagonal(out, np.exp(-rates * h))
+        out[below] = rates[1:] * np.exp(-rates[:-1] * h) * -np.expm1(-gap * h) / gap
+    return out
 
-    p0 = np.zeros(n + 1)
-    p0[n] = 1.0
-    sol = solve_ivp(
-        rhs,
-        (0.0, t),
-        p0,
-        method="DOP853",
-        rtol=rtol,
-        atol=rtol * 1e-3,
-        t_eval=[t],
-    )
-    if not sol.success:  # pragma: no cover - solver failure is exceptional
-        raise RuntimeError(f"totals ODE solve failed: {sol.message}")
-    return sol.y[:, -1]
+
+def _totals_tables(theta: float, t: float, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cached totals transition matrix for (theta, t), clipped to [0, 1],
+    and its log, covering starting totals 0..top at least (read-only)."""
+    if not 0.0 < theta < math.inf:
+        raise DomainError(f"theta must be finite and > 0, got {theta}")
+    if top < 0:
+        raise DomainError(f"negative total {top}")
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"time must be finite and >= 0, got {t}")
+    key = (theta, t)
+    tables = _table_cache.get(key)
+    if tables is not None and top < len(tables[0]):
+        return tables
+    start = 0 if tables is None else len(tables[0])
+    size = max(_FIRST_BLOCK, start)
+    while size <= top:
+        size *= 2
+    probs, logs = np.zeros((size, size)), np.full((size, size), -np.inf)
+    if tables is not None:
+        probs[:start, :start], logs[:start, :start] = tables
+    while start < size:
+        stop = max(_FIRST_BLOCK, 2 * start)
+        rows = _totals_block(theta, t, stop)[start:]
+        if np.any(rows < -1e-12):
+            raise DomainError("negative transition probability")
+        probs[start:stop, :stop] = np.clip(rows, 0.0, 1.0)
+        with np.errstate(divide="ignore"):
+            logs[start:stop, :stop] = np.log(probs[start:stop, :stop])
+        start = stop
+    probs.setflags(write=False)
+    logs.setflags(write=False)
+    _table_cache.put(key, (probs, logs))
+    return probs, logs
 
 
 def fv_totals_transition(
@@ -207,37 +309,18 @@ def fv_totals_transition(
 ) -> TotalsTransitionTable:
     """Exact marginal law of the totals death chain started at n.
 
-    Solves the forward equations on {0..n}; results are cached by exact
-    (theta, n, t, rtol) key, safe for concurrent readers.
+    Row n of the cached transition matrix for (theta, t); ``rtol`` is
+    accepted for compatibility and ignored.
     """
-    if n < 0:
-        raise DomainError(f"negative total {n}")
-    if t < 0.0:
-        raise DomainError(f"negative time {t}")
-    key = (theta, n, t, rtol)
-    with _cache_lock:
-        hit = _table_cache.get(key)
-    if hit is not None:
-        return hit
-    if t == 0.0 or n == 0:
-        probs = np.zeros(n + 1)
-        probs[n] = 1.0
-    else:
-        probs = _solve_totals(theta, n, t, rtol)
-    table = TotalsTransitionTable(n, t, probs)
-    with _cache_lock:
-        _table_cache[key] = table
-    return table
+    probs, logs = _totals_tables(theta, t, n)
+    return TotalsTransitionTable(n, t, probs[n, : n + 1], logs[n, : n + 1])
 
 
 def fv_totals_matrix(
     theta: float, n: int, t: float, rtol: float = DEFAULT_ODE_RTOL
 ) -> np.ndarray:
     """Matrix [p_{i,k}(t)] for 0 <= k <= i <= n (upper entries zero)."""
-    out = np.zeros((n + 1, n + 1))
-    for i in range(n + 1):
-        out[i, : i + 1] = fv_totals_transition(theta, i, t, rtol).probs
-    return out
+    return _totals_tables(theta, t, n)[0][: n + 1, : n + 1].copy()
 
 
 def fv_typed_log_prob(
@@ -247,7 +330,7 @@ def fv_typed_log_prob(
     t: float,
     rtol: float = DEFAULT_ODE_RTOL,
 ) -> float:
-    """log p_{n,k}(t) for the typed chain.
+    """log p_{n,k}(t) for the typed chain (``rtol`` is ignored).
 
     The totals follow the pure-death law; given the surviving total the
     allocation across types is multivariate hypergeometric, because each
@@ -255,7 +338,7 @@ def fv_typed_log_prob(
     """
     if not kvec <= nvec:
         raise IndexError(f"{kvec!r} not componentwise <= {nvec!r}")
-    table = fv_totals_transition(spec.theta, nvec.total, t, rtol)
+    table = fv_totals_transition(spec.theta, nvec.total, t)
     out = table.log_prob(kvec.total)
     if out == -math.inf:
         return out
@@ -291,20 +374,14 @@ def _triangle(top: int, fn) -> np.ndarray:
 
 
 def _fv_typed_log_probs(
-    spec: FvDualSpec,
-    m: np.ndarray,
-    k: np.ndarray,
-    t: float,
-    rtol: float = DEFAULT_ODE_RTOL,
+    spec: FvDualSpec, m: np.ndarray, k: np.ndarray, t: float
 ) -> np.ndarray:
     """fv_typed_log_prob from each row of ``m`` to the matching row of ``k``
-    (rows with k <= m), with the same floats, gathered from one totals table
-    per distinct starting total and a table of log_falling_binom."""
+    (rows with k <= m), with the same floats, gathered from the totals
+    matrix and a table of log_falling_binom."""
     m_tot, k_tot = m.sum(axis=1), k.sum(axis=1)
     top = int(m_tot.max(initial=0))
-    totals = np.full((top + 1, top + 1), -np.inf)
-    for n in np.unique(m_tot).tolist():
-        totals[n, : n + 1] = fv_totals_transition(spec.theta, n, t, rtol).log_probs
+    totals = _totals_tables(spec.theta, t, top)[1]
     binom = _triangle(top, log_falling_binom)
     out = totals[m_tot, k_tot] - binom[m_tot, k_tot]
     for j in range(m.shape[1]):

@@ -28,6 +28,10 @@ distinct argument by the scalar function that defines it and then gathered,
 keeping the order of additions of the per-pair formulas below, so the
 weights are the same floats those formulas give.  Smoothing results hold
 their pairs as arrays and build ``pair_log_weights`` on first access.
+
+The ``rtol`` parameters are kept for callers that pass them by position and
+have no effect: the totals transition tables have no tolerance to set (see
+dual.py).
 """
 
 from __future__ import annotations
@@ -208,7 +212,7 @@ def propagate_forward(
     spec = FvDualSpec(law.base.theta)
     return law._renewed(
         *_spread(
-            *law._arrays, lambda m, k: _fv_typed_log_probs(spec, m, k, dt, rtol)
+            *law._arrays, lambda m, k: _fv_typed_log_probs(spec, m, k, dt)
         )
     )
 
@@ -221,7 +225,7 @@ def propagate_backward(
     By reversibility this coincides with forward propagation on these laws;
     the separate name keeps the direction of each recursion readable.
     """
-    return propagate_forward(law, dt, rtol)
+    return propagate_forward(law, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +252,13 @@ def _filter(timeline, i, prior, update, propagate, data, backward=False):
     return law
 
 
-def _fv_filter(timeline, i, base, rtol, backward=False) -> DirichletMixtureLaw:
+def _fv_filter(timeline, i, base, backward=False) -> DirichletMixtureLaw:
     return _filter(
         timeline,
         i,
         DirichletMixtureLaw.prior(base, timeline.registry),
         update_dirichlet,
-        lambda law, dt: propagate_forward(law, dt, rtol),
+        propagate_forward,
         timeline.fv_counts,
         backward,
     )
@@ -272,7 +276,7 @@ def filter_forward(
     stationary single-component prior; the result is supported on the
     lattice below the summed past multiplicities.
     """
-    return _fv_filter(timeline, i, base, rtol)
+    return _fv_filter(timeline, i, base)
 
 
 def filter_backward(
@@ -286,7 +290,7 @@ def filter_backward(
     Mirror image of filter_forward, built with backward propagation from the
     prior at the final collection time.
     """
-    return _fv_filter(timeline, i, base, rtol, backward=True)
+    return _fv_filter(timeline, i, base, backward=True)
 
 
 def filter_posterior(
@@ -296,7 +300,7 @@ def filter_posterior(
     rtol: float = DEFAULT_ODE_RTOL,
 ) -> DirichletMixtureLaw:
     """Filtering law: signal at t_i given data up to and including t_i."""
-    law = filter_forward(timeline, i, base, rtol)
+    law = filter_forward(timeline, i, base)
     return update_dirichlet(law, timeline.fv_counts[i])
 
 
@@ -616,8 +620,8 @@ def one_step_smoothing_weights(
         n_future,
         base,
         registry,
-        lambda m, k: _fv_typed_log_probs(spec, m, k, d_past, rtol),
-        lambda m, k: _fv_typed_log_probs(spec, m, k, d_future, rtol),
+        lambda m, k: _fv_typed_log_probs(spec, m, k, d_past),
+        lambda m, k: _fv_typed_log_probs(spec, m, k, d_future),
     )
     return replace(pairs, log_weights=_normalized(pairs.log_weights)).as_dict()
 
@@ -636,8 +640,8 @@ def smooth(
     first is algebraically identical to the double sum over pre-propagation
     components, because the case term depends only on the retained pair.
     """
-    v1 = filter_forward(timeline, i, base, rtol)
-    v2 = filter_backward(timeline, i, base, rtol)
+    v1 = filter_forward(timeline, i, base)
+    v2 = filter_backward(timeline, i, base)
     n_now = timeline.fv_counts[i]
     alpha_vec = base.alpha_vector(timeline.registry)
     pairs = _combine_pairs(v1._arrays, v2._arrays, n_now, base, alpha_vec)

@@ -55,7 +55,7 @@ class RunConfig:
     beta: float | None = None
     pruning_epsilon: float = 0.0
     seed: int = 0
-    ode_tolerance: float = DEFAULT_ODE_RTOL
+    ode_tolerance: float = DEFAULT_ODE_RTOL  # accepted and ignored (see dual.py)
     dw_rate_constant: float = DEFAULT_DW_RATE_CONSTANT
 
     def __post_init__(self):

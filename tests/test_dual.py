@@ -1,18 +1,22 @@
 """Dual death chains: flows, totals tables, typed transitions, simulation."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
+from mvhmm import dual
 from mvhmm.core import MultiIndex
 from mvhmm.dual import (
     DwDualSpec,
     FvDualSpec,
     c_flow,
     c_flow_integral,
+    clear_transition_cache,
     dw_survival_prob,
     dw_typed_log_prob,
     fv_totals_matrix,
@@ -130,6 +134,113 @@ class TestTotalsTable:
             [np.cumsum(fv_totals_transition(theta, n, t).probs) for t in times]
         )
         assert np.all(np.diff(cdfs, axis=0) >= -1e-9)
+
+
+def _eigen_expansion_row(theta, n, t, digits=250):
+    """P(|M_t| = k | |M_0| = n) for k = 0..n at ``digits`` decimal digits,
+    from P[n, k](t) = sum_j A_kj exp(-lambda_j t): A_nn = 1,
+    A_kj = lambda_{k+1} A_{k+1,j} / (lambda_k - lambda_j) for j > k, and A_kk
+    set by P[n, k](0) = 0."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(digits):
+        lam = [mp.mpf(i) * (mp.mpf(theta) + i - 1) / 2 for i in range(n + 1)]
+        decay = [mp.exp(-rate * mp.mpf(t)) for rate in lam]
+        coef = {n: mp.mpf(1)}
+        out = [decay[n]]
+        for k in range(n - 1, -1, -1):
+            coef = {j: lam[k + 1] * a / (lam[k] - lam[j]) for j, a in coef.items()}
+            coef[k] = -sum(coef.values())
+            out.append(sum(a * decay[j] for j, a in coef.items()))
+        return out[::-1]
+
+
+class TestTotalsAccuracy:
+    @pytest.mark.parametrize("theta", [0.3, 2.0, 8.0])
+    def test_against_eigen_expansion(self, theta):
+        mp = pytest.importorskip("mpmath")
+        worst = 0.0
+        # 31 and 63 are the last rows of their blocks, the rows that need the
+        # most series terms
+        for n in (5, 24, 31, 45, 63):
+            for t in (1e-3, 0.05, 0.3, 3.0, 50.0):
+                probs = fv_totals_transition(theta, n, t).probs
+                for k, ref in enumerate(_eigen_expansion_row(theta, n, t)):
+                    if ref >= mp.mpf("1e-300"):
+                        assert probs[k] > 0.0, (n, t, k)
+                        err = abs(math.log(probs[k]) - float(mp.log(ref)))
+                        worst = max(worst, err)
+        assert worst <= 1e-12
+
+    def test_far_tail_entries_are_resolved(self):
+        # the top state has the one exit rate 6*7/2, so the entry is e^-315
+        top = fv_totals_transition(2.0, 6, 15.0).probs[6]
+        assert math.log(top) == pytest.approx(-315.0, abs=1e-12)
+        assert np.all(fv_totals_transition(2.0, 8, 15.0).probs > 0.0)
+
+    def test_rows_do_not_depend_on_history(self):
+        clear_transition_cache()
+        first = fv_totals_transition(0.7, 20, 1.3).log_probs.copy()
+        fv_totals_matrix(0.7, 100, 1.3)
+        assert np.array_equal(fv_totals_transition(0.7, 20, 1.3).log_probs, first)
+        clear_transition_cache()
+        assert np.array_equal(fv_totals_transition(0.7, 20, 1.3).log_probs, first)
+
+    def test_cache_drops_least_recently_used_past_its_bytes(self, monkeypatch):
+        block = 2 * 16 * 16 * 8  # probabilities and logs over totals 0..15
+        monkeypatch.setattr(dual, "_CACHE_BYTES", 3 * block)
+        clear_transition_cache()
+        for t in (0.1, 0.2, 0.3, 0.4):
+            fv_totals_transition(1.0, 5, t)
+        fv_totals_transition(1.0, 5, 0.2)  # now the most recently used
+        fv_totals_transition(1.0, 5, 0.5)
+        assert list(dual._table_cache._tables) == [(1.0, 0.4), (1.0, 0.2), (1.0, 0.5)]
+        assert dual._table_cache._bytes == 3 * block
+        fv_totals_transition(1.0, 20, 0.4)  # grown to totals 0..31: 4 blocks
+        assert list(dual._table_cache._tables) == [(1.0, 0.4)]
+        clear_transition_cache()
+
+    def test_cache_under_concurrent_callers(self, monkeypatch):
+        monkeypatch.setattr(dual, "_CACHE_BYTES", 6 * 2 * 16 * 16 * 8)
+        keys = [(theta, n, t) for theta in (0.5, 2.0) for n in (3, 15, 20)
+                for t in (0.1, 0.7, 3.0)]
+        clear_transition_cache()
+        expected = {key: fv_totals_transition(*key).probs for key in keys}
+        clear_transition_cache()
+        errors = []
+
+        def work(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for _ in range(300):
+                    key = keys[rng.integers(len(keys))]
+                    probs = fv_totals_transition(*key).probs
+                    if not np.array_equal(probs, expected[key]):
+                        errors.append(key)
+            except Exception as exc:  # a failure in a thread would go unseen
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(s,)) for s in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        held = dual._table_cache._tables.values()
+        assert dual._table_cache._bytes == sum(2 * probs.nbytes for probs, _ in held)
+        assert dual._table_cache._bytes <= dual._CACHE_BYTES or len(held) == 1
+        clear_transition_cache()
+
+    def test_rejects_invalid_arguments(self):
+        for theta, n, t in [(1.0, -1, 0.5), (1.0, 3, -0.5), (1.0, 3, math.nan),
+                            (1.0, 3, math.inf), (math.nan, 3, 0.5), (0.0, 3, 0.5)]:
+            with pytest.raises(DomainError):
+                fv_totals_transition(theta, n, t)
 
 
 class TestTypedTransitions:

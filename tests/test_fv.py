@@ -2,6 +2,7 @@
 prediction."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from mvhmm.core import (
     ObservationTimeline,
     TypeRegistry,
 )
+from mvhmm.dual import clear_transition_cache
 from mvhmm.errors import AllWeightsZero, DomainError
 from mvhmm.fv import (
     NEW_LABEL,
@@ -584,3 +586,25 @@ def test_filter_requires_fv_timeline(reg2, flat2):
     tl = ObservationTimeline((0.0,), reg2, dw_draws=draws)
     with pytest.raises(DomainError):
         filter_forward(tl, 0, flat2)
+
+
+class TestRobustness:
+    def test_long_gap_smooth_finishes_quickly(self, reg2):
+        clear_transition_cache()
+        tl = mk_timeline(reg2, (0.0, 1e6), [(20, 20), (20, 20)])
+        start = time.perf_counter()
+        result = smooth(tl, 1, BaseMeasure(2.0))
+        assert time.perf_counter() - start < 1.0
+        assert result.law.weight_sum() == pytest.approx(1.0, abs=1e-10)
+
+    def test_smooth_every_index_over_exponential_gaps(self, reg2):
+        # nonatomic base, two types, Exp(1) gaps, 6 counts per time
+        base = BaseMeasure(2.0)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            times = np.concatenate([[0.0], np.cumsum(rng.exponential(1.0, 7))])
+            counts = rng.multinomial(6, [0.5, 0.5], size=8).tolist()
+            tl = mk_timeline(reg2, times.tolist(), counts)
+            for i in range(tl.n_times):
+                law = smooth(tl, i, base).law
+                assert law.weight_sum() == pytest.approx(1.0, abs=1e-10)

@@ -124,9 +124,11 @@ def test_one_step_weights_equal_scalar_loops(kind):
 
 
 def test_long_gap_propagation_drops_underflowed_moves():
-    """Over a long gap some totals-table entries underflow to exactly 0; the
-    moves to those totals drop, as they did one lattice point at a time."""
-    theta, dt = 2.0, 8.0
+    """Over a long gap some totals-table entries lie below the double range
+    (staying at total 8 has probability e^{-36*25} = e^-900) and are exactly
+    0; the moves to those totals drop, as they did one lattice point at a
+    time."""
+    theta, dt = 2.0, 25.0
     assert np.any(fv_totals_transition(theta, 8, dt).probs == 0.0)
     registry = TypeRegistry(("a", "b"))
     law = DirichletMixtureLaw.from_components(
@@ -174,12 +176,12 @@ def test_pair_log_weights_built_on_first_access():
 def test_pruning_threshold_is_math_exp():
     """np.exp and math.exp differ in the last bit on some inputs; a pair
     weight sitting exactly on the threshold is kept or dropped as math.exp
-    decides."""
-    timeline, base, _ = next(_criterion_02_datasets("fv", "discrete"))
-    result = smooth(timeline, 0, base)
-    lw = next(
-        lw
-        for lw in result._pairs.log_weights.tolist()
+    decides.  The first criterion-02 dataset with such a weight at index 0
+    is used."""
+    timeline, base, lw = next(
+        (timeline, base, lw)
+        for timeline, base, _ in _criterion_02_datasets("fv", "discrete")
+        for lw in smooth(timeline, 0, base)._pairs.log_weights.tolist()
         if np.exp(lw) != math.exp(lw)
     )
     epsilon = max(math.exp(lw), float(np.exp(lw)))
