@@ -3,16 +3,19 @@
 All types are immutable value objects after construction; they can be shared
 freely between threads.  Mixture weights live in log domain throughout, and
 components with identical multi-indices are merged (log-sum-exp) when a
-mixture is built.
+mixture is built by the engines.  A mixture law stores its components only
+as a read-only log-weight vector and int index-row matrix, which the engines
+read and build laws from; ``components``, as (log-weight, MultiIndex) pairs,
+is listed from them on first access for readers outside the engines.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -42,12 +45,12 @@ class MultiIndex:
     __slots__ = ("counts", "total")
 
     def __init__(self, counts: Iterable[int]):
-        counts = tuple(int(v) for v in counts)
+        counts = tuple(counts)
         for v in counts:
-            if v < 0:
-                raise DomainError(f"negative multiplicity {v}")
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "total", sum(counts))
+            if not 0 <= v < math.inf or int(v) != v:
+                raise DomainError(f"multiplicity {v} is not a nonnegative integer")
+        object.__setattr__(self, "counts", tuple(map(int, counts)))
+        object.__setattr__(self, "total", sum(self.counts))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("MultiIndex is immutable")
@@ -305,17 +308,6 @@ def _normalized(log_weights: np.ndarray) -> np.ndarray:
     return log_weights - logsumexp_1d(log_weights)
 
 
-def _canonical(
-    log_weights: np.ndarray, indices: np.ndarray, normalize: bool = True
-) -> tuple[tuple[float, MultiIndex], ...]:
-    """Mixture components from log-weight and index-row arrays: merged,
-    normalized if ``normalize``, as (log-weight, MultiIndex) pairs."""
-    log_weights, indices = _merged(log_weights, indices)
-    if normalize:
-        log_weights = _normalized(log_weights)
-    return tuple(zip(log_weights.tolist(), map(MultiIndex, indices.tolist())))
-
-
 def _component_arrays(
     components: Iterable[tuple[float, MultiIndex]], k: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -328,6 +320,11 @@ def _component_arrays(
     return log_weights, indices.reshape(len(components), k)
 
 
+def _at_least(logs: np.ndarray, epsilon: float) -> np.ndarray:
+    """Pruning's keep mask: ``math.exp(lw) >= epsilon`` for each log-weight."""
+    return np.array([math.exp(lw) >= epsilon for lw in logs.tolist()], dtype=bool)
+
+
 def logsumexp_1d(logs: np.ndarray) -> float:
     m = np.max(logs)
     if m == -np.inf:
@@ -336,15 +333,34 @@ def logsumexp_1d(logs: np.ndarray) -> float:
 
 
 class _MixtureBase:
-    """Shared behaviour of the two mixture-law types."""
+    """Shared behaviour of the two mixture-law types.  Each declares
+    ``components`` with ``field()``, which leaves no class attribute, so the
+    cached property below serves it; ``_arrays`` is the stored form."""
 
-    components: tuple[tuple[float, MultiIndex], ...]
     registry: TypeRegistry
+    _arrays: tuple[np.ndarray, np.ndarray]
 
     def __post_init__(self):
-        for _, idx in self.components:
-            if len(idx) != self.registry.k:
-                raise DomainError("component index length != registry size")
+        self._store(*_component_arrays(vars(self).pop("components"), self.registry.k))
+
+    def _store(self, log_weights: np.ndarray, indices: np.ndarray, **changes):
+        """Set ``changes`` and the arrays, checked: every law is built here."""
+        for name, value in changes.items():
+            object.__setattr__(self, name, value)
+        if indices.shape != (len(log_weights), self.registry.k):
+            raise DomainError("component index length != registry size")
+        log_weights.flags.writeable = indices.flags.writeable = False
+        object.__setattr__(self, "_arrays", (log_weights, indices))
+
+    def _rows(self) -> list[tuple[float, list[int]]]:
+        """(log-weight, index row) pairs, with no MultiIndex built."""
+        log_weights, indices = self._arrays
+        return list(zip(log_weights.tolist(), indices.tolist()))
+
+    @functools.cached_property
+    def components(self) -> tuple[tuple[float, MultiIndex], ...]:
+        """(log-weight, MultiIndex) pairs, listed on first access."""
+        return tuple((lw, MultiIndex(m)) for lw, m in self._rows())
 
     def log_weights(self) -> dict[MultiIndex, float]:
         return {idx: lw for lw, idx in self.components}
@@ -353,31 +369,28 @@ class _MixtureBase:
         return {idx: math.exp(lw) for lw, idx in self.components}
 
     def weight_sum(self) -> float:
-        return float(sum(math.exp(lw) for lw, _ in self.components))
+        return float(sum(math.exp(lw) for lw in self._arrays[0].tolist()))
 
     def __len__(self) -> int:
-        return len(self.components)
+        return len(self._arrays[0])
 
-    @functools.cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The components as a log-weight vector and an index-row matrix."""
-        return _component_arrays(self.components, self.registry.k)
-
-    def _renewed(self, log_weights: np.ndarray, indices: np.ndarray):
-        """The same law (base, registry, rate) with the merged, normalized
-        components of ``log_weights`` and ``indices`` in place of its own."""
-        return dataclasses.replace(
-            self, components=_canonical(log_weights, indices)
-        )
+    def _renewed(self, log_weights, indices, normalize=True, **changes):
+        """A copy of this law but for ``changes``, holding the components of
+        the arrays merged and, if ``normalize``, normalized."""
+        log_weights, indices = _merged(log_weights, indices)
+        if normalize:
+            log_weights = _normalized(log_weights)
+        law = copy.copy(self)
+        vars(law).pop("components", None)
+        law._store(log_weights, indices, **changes)
+        return law
 
     def pruned(self, epsilon: float):
         """Drop components with normalized weight < epsilon, then renormalize."""
         if epsilon <= 0.0:
             return self
         log_weights, indices = self._arrays
-        keep = np.array(
-            [math.exp(lw) >= epsilon for lw, _ in self.components], dtype=bool
-        )
+        keep = _at_least(log_weights, epsilon)
         return self._renewed(log_weights[keep], indices[keep])
 
 
@@ -390,7 +403,7 @@ class DirichletMixtureLaw(_MixtureBase):
     registered labels.
     """
 
-    components: tuple[tuple[float, MultiIndex], ...]
+    components: tuple[tuple[float, MultiIndex], ...] = field()
     base: BaseMeasure
     registry: TypeRegistry
 
@@ -402,7 +415,7 @@ class DirichletMixtureLaw(_MixtureBase):
         normalize: bool = True,
     ) -> "DirichletMixtureLaw":
         arrays = _component_arrays(components, registry.k)
-        return DirichletMixtureLaw(_canonical(*arrays, normalize), base, registry)
+        return DirichletMixtureLaw.prior(base, registry)._renewed(*arrays, normalize)
 
     @staticmethod
     def prior(base: BaseMeasure, registry: TypeRegistry) -> "DirichletMixtureLaw":
@@ -420,20 +433,20 @@ class GammaMixtureLaw(_MixtureBase):
     (through the deterministic cardinality flow).
     """
 
-    components: tuple[tuple[float, MultiIndex], ...]
+    components: tuple[tuple[float, MultiIndex], ...] = field()
     base: BaseMeasure
     registry: TypeRegistry
     beta: float
     rate_offset: float = 0.0
 
-    def __post_init__(self):
+    def _store(self, *arrays, **changes):
+        super()._store(*arrays, **changes)
         if not 0.0 < self.beta < math.inf:
             raise DomainError(f"beta must be finite and > 0, got {self.beta}")
         if not 0.0 <= self.rate_offset < math.inf:
             raise DomainError(
                 f"rate offset must be finite and >= 0, got {self.rate_offset}"
             )
-        super().__post_init__()
 
     @property
     def effective_cardinality(self) -> float:
@@ -452,9 +465,8 @@ class GammaMixtureLaw(_MixtureBase):
         normalize: bool = True,
     ) -> "GammaMixtureLaw":
         arrays = _component_arrays(components, registry.k)
-        return GammaMixtureLaw(
-            _canonical(*arrays, normalize), base, registry, beta, rate_offset
-        )
+        law = GammaMixtureLaw.prior(base, registry, beta)
+        return law._renewed(*arrays, normalize, rate_offset=rate_offset)
 
     @staticmethod
     def prior(

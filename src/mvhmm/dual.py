@@ -373,16 +373,25 @@ def _triangle(top: int, fn) -> np.ndarray:
     return out
 
 
+# log_falling_binom up to total len - 1, read-only; a racing growth is harmless
+_falling_binoms = np.empty((0, 0))
+
+
 def _fv_typed_log_probs(
     spec: FvDualSpec, m: np.ndarray, k: np.ndarray, t: float
 ) -> np.ndarray:
     """fv_typed_log_prob from each row of ``m`` to the matching row of ``k``
     (rows with k <= m), with the same floats, gathered from the totals
-    matrix and a table of log_falling_binom."""
+    matrix and the kept table of log_falling_binom."""
+    global _falling_binoms
     m_tot, k_tot = m.sum(axis=1), k.sum(axis=1)
     top = int(m_tot.max(initial=0))
     totals = _totals_tables(spec.theta, t, top)[1]
-    binom = _triangle(top, log_falling_binom)
+    binom = _falling_binoms
+    if len(binom) <= top:
+        binom = _triangle(max(top, 2 * len(binom)), log_falling_binom)
+        binom.flags.writeable = False
+        _falling_binoms = binom
     out = totals[m_tot, k_tot] - binom[m_tot, k_tot]
     for j in range(m.shape[1]):
         out = out + binom[m[:, j], k[:, j]]

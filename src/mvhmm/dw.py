@@ -29,7 +29,6 @@ from .core import (
     MultiIndex,
     ObservationTimeline,
     TypeRegistry,
-    _canonical,
     logsumexp_1d,
 )
 from .dual import (
@@ -98,9 +97,7 @@ def update_gamma(
         total,
         lambda theta_eff: log_gamma_marginal(total.total, float(c), theta_eff, rate),
     )
-    return GammaMixtureLaw(
-        _canonical(*comps), law.base, law.registry, law.beta, law.rate_offset + c
-    )
+    return law._renewed(*comps, rate_offset=law.rate_offset + c)
 
 
 def propagate_dw(
@@ -121,13 +118,7 @@ def propagate_dw(
         return law
     spec = DwDualSpec(law.base.theta, law.beta, law.rate_offset, kappa)
     comps = _spread(*law._arrays, lambda m, k: _dw_typed_log_probs(spec, m, k, dt))
-    return GammaMixtureLaw(
-        _canonical(*comps),
-        law.base,
-        law.registry,
-        law.beta,
-        c_flow(law.beta, law.rate_offset, dt),
-    )
+    return law._renewed(*comps, rate_offset=c_flow(law.beta, law.rate_offset, dt))
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +247,8 @@ def one_step_smoothing_dw(
     reg = registry if registry is not None else TypeRegistry(
         tuple(f"y{j}" for j in range(len(n_now)))
     )
-    return GammaMixtureLaw(
-        _canonical(pairs.log_weights, pairs.indices(n_now)),
-        base,
-        reg,
-        beta,
-        a_past + c_now + a_future,
+    return GammaMixtureLaw.prior(base, reg, beta)._renewed(
+        pairs.log_weights, pairs.indices(n_now), rate_offset=a_past + c_now + a_future
     )
 
 
@@ -291,12 +278,7 @@ def smooth_dw(
     pairs = _combine_pairs(v1._arrays, v2._arrays, n_now, base, alpha_vec, extra)
     offset = v1.rate_offset + c_now + v2.rate_offset
     pairs, law = _result_from_pairs(
-        pairs,
-        n_now,
-        pruning_epsilon,
-        lambda log_weights, indices: GammaMixtureLaw(
-            _canonical(log_weights, indices), base, timeline.registry, beta, offset
-        ),
+        pairs, n_now, pruning_epsilon, v1, rate_offset=offset
     )
     return DwSmoothingResult(n_now, c_now, law, pairs)
 
@@ -316,10 +298,12 @@ def predict_count_pmf(
     support is truncated once the certified geometric tail bound drops below
     ``tail``; the returned masses are not renormalized.
     """
+    if not (0.0 < tail < 1.0 and max_support >= 0):
+        raise DomainError(f"need 0 < tail < 1, max_support >= 0: {tail}, {max_support}")
     b_total = law.beta + law.rate_offset
     p = 1.0 / (1.0 + b_total)
     theta = law.base.theta
-    comps = [(math.exp(lw), theta + m.total) for lw, m in law.components]
+    comps = [(math.exp(lw), theta + sum(m)) for lw, m in law._rows()]
     r_max = max(r for _, r in comps)
     out: dict[int, float] = {}
     n = 0
@@ -336,9 +320,7 @@ def predict_count_mean(law: GammaMixtureLaw) -> float:
     """Analytic mean of the further-draw size: sum of w * (theta+|m|) / rate."""
     b_total = law.beta + law.rate_offset
     theta = law.base.theta
-    return sum(
-        math.exp(lw) * (theta + m.total) / b_total for lw, m in law.components
-    )
+    return sum(math.exp(lw) * (theta + sum(m)) / b_total for lw, m in law._rows())
 
 
 def predictive_label_pmf(
@@ -367,10 +349,8 @@ class _DrawTables:
         theta = law.base.theta
         self.b_total = law.beta + law.rate_offset
         self.p = 1.0 / (1.0 + self.b_total)
-        self.log_w = np.array([lw for lw, _ in law.components])
-        self.m_mat = np.array(
-            [m.counts for _, m in law.components], dtype=float
-        ).reshape(len(law.components), law.registry.k)
+        self.log_w, indices = law._arrays
+        self.m_mat = indices.astype(float)
         self.theta_eff = theta + self.m_mat.sum(axis=1)
         self.alpha_vec = np.array(law.base.alpha_vector(law.registry))
         self.new_mass = theta * law.base.unseen_mass

@@ -50,6 +50,7 @@ from .core import (
     ObservationTimeline,
     TypeRegistry,
     _MixtureBase,
+    _at_least,
     _normalized,
     _row_codes,
     logsumexp_1d,
@@ -138,8 +139,8 @@ def _rescored(law: _MixtureBase, n: MultiIndex, log_extra=None):
     alpha_vec = law.base.alpha_vector(law.registry)
     carriers = _carriers(law)
     kept, log_weights = [], []
-    for row, (lw, m) in enumerate(law.components):
-        theta_eff = law.base.theta + m.total
+    for row, (lw, m) in enumerate(law._rows()):
+        theta_eff = law.base.theta + sum(m)
         score = observation_log_score(m, n, law.base, alpha_vec, carriers, theta_eff)
         if score == -math.inf:
             continue
@@ -545,23 +546,20 @@ class FvSmoothingResult(_PairDecomposition):
 
 
 def _result_from_pairs(
-    pairs: _Pairs, n_now: MultiIndex, pruning_epsilon: float, make_law
+    pairs: _Pairs, n_now: MultiIndex, pruning_epsilon: float, law, **changes
 ):
-    """Normalize and prune the pair law, then merge it into the mixture
-    ``make_law(log_weights, index_rows)`` builds.
+    """Normalize and prune the pair law, then merge it into a copy of the
+    filter law ``law`` but for ``changes``.
 
     Returns (pairs, law).
     """
     log_weights = _normalized(pairs.log_weights)
     positions = pairs.positions
     if pruning_epsilon > 0.0:
-        keep = np.array(
-            [math.exp(lw) >= pruning_epsilon for lw in log_weights.tolist()],
-            dtype=bool,
-        )
+        keep = _at_least(log_weights, pruning_epsilon)
         positions, log_weights = positions[keep], _normalized(log_weights[keep])
     pairs = replace(pairs, positions=positions, log_weights=log_weights)
-    return pairs, make_law(log_weights, pairs.indices(n_now))
+    return pairs, law._renewed(log_weights, pairs.indices(n_now), **changes)
 
 
 def _one_step_pairs(
@@ -645,7 +643,7 @@ def smooth(
     n_now = timeline.fv_counts[i]
     alpha_vec = base.alpha_vector(timeline.registry)
     pairs = _combine_pairs(v1._arrays, v2._arrays, n_now, base, alpha_vec)
-    pairs, law = _result_from_pairs(pairs, n_now, pruning_epsilon, v1._renewed)
+    pairs, law = _result_from_pairs(pairs, n_now, pruning_epsilon, v1)
     return FvSmoothingResult(n_now, law, pairs)
 
 
@@ -699,7 +697,7 @@ def _component_weights(
     mass = _urn_mass(base, registry)
     logs = []
     for lw, m in components:
-        theta_eff = base.theta + m.total
+        theta_eff = base.theta + sum(m)
         if log_extra is not None:
             lw += log_extra(theta_eff)
         seen: dict[str, int] = {}
@@ -719,7 +717,8 @@ def _urn_pmf(law: _MixtureBase, history, log_extra=None) -> dict[str, float]:
     """Next-sample law of the urn mixture of ``law`` given ``history``; see
     predictive_pmf.  ``log_extra`` is as in _component_weights."""
     base, registry = law.base, law.registry
-    weights = _component_weights(law.components, base, registry, history, log_extra)
+    components = law._rows()
+    weights = _component_weights(components, base, registry, history, log_extra)
     mass = _urn_mass(base, registry)
     counts: dict[str, int] = {}
     for lab in history:
@@ -727,8 +726,8 @@ def _urn_pmf(law: _MixtureBase, history, log_extra=None) -> dict[str, float]:
     out = dict.fromkeys(
         (*registry.labels, *_idle_atoms(base, registry), *counts, NEW_LABEL), 0.0
     )
-    for w, (_, m) in zip(weights, law.components):
-        denom = base.theta + m.total + len(history)
+    for w, (_, m) in zip(weights, components):
+        denom = base.theta + sum(m) + len(history)
         for lab in out:
             out[lab] += w * mass(lab, m, counts) / denom
     return out
@@ -770,12 +769,11 @@ def _cached_tables(owner, build):
 
 
 def _pair_components(result: "FvSmoothingResult"):
-    """Components of the retained pairs of ``result``, in pair order, with
-    their cumulative normalized weights."""
+    """(log-weight, index row) components of the retained pairs of
+    ``result``, in pair order, with their cumulative normalized weights."""
     pairs = result._pairs
     log_weights = pairs.log_weights.tolist()
-    indices = map(MultiIndex, pairs.indices(result.n_now).tolist())
-    comps = list(zip(log_weights, indices))
+    comps = list(zip(log_weights, pairs.indices(result.n_now).tolist()))
     cum = np.cumsum([math.exp(lw) for lw in log_weights])
     return comps, cum / cum[-1]
 
@@ -806,8 +804,8 @@ def predictive_sample(
         cum = np.cumsum(_component_weights(components, base, registry, hist))
         cum /= cum[-1]
     m = components[int(np.searchsorted(cum, rng.random(), side="right"))][1]
-    total = float(m.total)
-    atom_cum = np.cumsum(m.counts, dtype=float)
+    total = float(sum(m))
+    atom_cum = np.cumsum(m, dtype=float)
     atoms = base.atom_probs or {}
     base_labels = tuple(atoms)
     base_cum = np.cumsum(list(atoms.values()))

@@ -42,6 +42,22 @@ POSITIONAL = [
     (io, "load_timeline", ("path", "aggregate")),
     (mvhmm.DirichletMixtureLaw, "prior", ("base", "registry")),
     (mvhmm.GammaMixtureLaw, "prior", ("base", "registry", "beta")),
+    (mvhmm, "DirichletMixtureLaw", ("components", "base", "registry")),
+    (
+        mvhmm,
+        "GammaMixtureLaw",
+        ("components", "base", "registry", "beta", "rate_offset"),
+    ),
+    (
+        mvhmm.DirichletMixtureLaw,
+        "from_components",
+        ("components", "base", "registry", "normalize"),
+    ),
+    (
+        mvhmm.GammaMixtureLaw,
+        "from_components",
+        ("components", "base", "registry", "beta", "rate_offset", "normalize"),
+    ),
 ]
 
 

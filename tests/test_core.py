@@ -1,5 +1,6 @@
 """Domain types: multi-indices, registries, mixtures, normalization."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,9 +17,9 @@ from mvhmm.core import (
     normalize,
 )
 from mvhmm.dual import DwDualSpec, FvDualSpec
-from mvhmm.dw import propagate_dw
+from mvhmm.dw import propagate_dw, smooth_dw, update_gamma
 from mvhmm.errors import AllWeightsZero, DomainError, SchemaError
-from mvhmm.fv import propagate_forward
+from mvhmm.fv import propagate_forward, smooth, update_dirichlet
 from mvhmm.io import parse_config_text
 
 
@@ -36,6 +37,18 @@ class TestMultiIndex:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             MultiIndex((1, -1))
+
+    @pytest.mark.parametrize(
+        "counts", [(1.5, 2.7), (1, 0.5), (math.nan,), (math.inf, 1)]
+    )
+    def test_non_integral_rejected(self, counts):
+        with pytest.raises(DomainError):
+            MultiIndex(counts)
+
+    def test_integral_floats_and_numpy_ints_accepted(self):
+        m = MultiIndex((2.0, np.int64(1)))
+        assert m.counts == (2, 1)
+        assert all(type(v) is int for v in m.counts)
 
     def test_partial_order(self):
         assert MultiIndex((1, 0)) <= MultiIndex((2, 0))
@@ -280,3 +293,112 @@ def _config(extra):
 def test_non_finite_inputs_rejected(make, error):
     with pytest.raises(error):
         make()
+
+
+def _laws_by_path():
+    """One law from each construction path: the constructors,
+    ``from_components``, an update, a propagation, a smooth, ``pruned`` and
+    ``normalize``, for both models."""
+    reg = TypeRegistry(("a", "b"))
+    base = BaseMeasure(2.0, {"a": 0.4, "b": 0.5})
+    comps = [
+        (math.log(0.3), MultiIndex((1, 0))),
+        (math.log(0.5), MultiIndex((0, 2))),
+        (math.log(0.2), MultiIndex((1, 0))),
+    ]
+    counts = (MultiIndex((2, 1)), MultiIndex((0, 1)), MultiIndex((1, 1)))
+    fv_tl = ObservationTimeline((0.0, 0.4, 1.0), reg, counts)
+    dw_tl = ObservationTimeline(
+        (0.0, 0.5),
+        reg,
+        dw_draws=((MultiIndex((1, 0)), MultiIndex((0, 2))), (MultiIndex((1, 1)),)),
+    )
+    distinct = comps[1:]  # the constructors keep components as given
+    fv_law = DirichletMixtureLaw.from_components(comps, base, reg)
+    dw_law = GammaMixtureLaw.from_components(comps, base, reg, 1.5, 0.5)
+    return {
+        "fv-constructor": DirichletMixtureLaw(distinct, base, reg),
+        "dw-constructor": GammaMixtureLaw(distinct, base, reg, 1.5, 0.5),
+        "fv-from-components": fv_law,
+        "dw-from-components": dw_law,
+        "fv-update": update_dirichlet(fv_law, MultiIndex((1, 1))),
+        "dw-update": update_gamma(dw_law, (MultiIndex((1, 1)), MultiIndex((0, 1)))),
+        "fv-propagate": propagate_forward(fv_law, 0.3),
+        "dw-propagate": propagate_dw(dw_law, 0.3),
+        "fv-smooth": smooth(fv_tl, 1, base).law,
+        "dw-smooth": smooth_dw(dw_tl, 0, base, 1.5).law,
+        "fv-pruned": smooth(fv_tl, 1, base).law.pruned(1e-3),
+        "dw-pruned": smooth_dw(dw_tl, 0, base, 1.5).law.pruned(1e-3),
+        "fv-normalize": normalize(DirichletMixtureLaw(comps, base, reg)),
+        "dw-normalize": normalize(GammaMixtureLaw(comps, base, reg, 1.5)),
+    }
+
+
+_LAWS = _laws_by_path()
+
+
+class TestRepresentation:
+    """Every construction path gives a law whose public views agree."""
+
+    def test_components_listed_on_first_access(self):
+        for law in _laws_by_path().values():
+            assert "components" not in vars(law)
+            assert law.components is law.components
+
+    @pytest.mark.parametrize("name", sorted(_LAWS))
+    def test_views_agree(self, name):
+        law = _LAWS[name]
+        comps = law.components
+        assert isinstance(comps, tuple)
+        assert all(
+            type(lw) is float and isinstance(idx, MultiIndex) for lw, idx in comps
+        )
+        assert len(law) == len(comps) == len(law.log_weights())
+        assert law.log_weights() == {idx: lw for lw, idx in comps}
+        assert law.weight_sum() == sum(math.exp(lw) for lw, _ in comps)
+
+    @pytest.mark.parametrize("name", sorted(_LAWS))
+    def test_replace_components_round_trips(self, name):
+        law = _LAWS[name]
+        before = law.components
+        copy = dataclasses.replace(law, components=before)
+        assert type(copy) is type(law)
+        assert copy.components == before
+        assert len(copy) == len(law)
+        for f in dataclasses.fields(law):
+            assert getattr(copy, f.name) == getattr(law, f.name)
+        other = dataclasses.replace(law, components=before[:1])
+        assert other.components == before[:1] and len(other) == 1
+        assert law.components is before
+
+    @pytest.mark.parametrize("name", sorted(_LAWS))
+    def test_frozen(self, name):
+        law = _LAWS[name]
+        for attr in ("components", "base", "registry"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(law, attr, getattr(law, attr))
+        for array in law._arrays:
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+    def test_wrong_index_width_rejected(self):
+        law = _LAWS["fv-update"]
+        with pytest.raises(DomainError):
+            dataclasses.replace(law, components=((0.0, MultiIndex((1, 2, 3))),))
+        with pytest.raises(DomainError):
+            law._renewed(np.zeros(1), np.zeros((1, 3), dtype=np.int64))
+
+    @pytest.mark.parametrize("name", ["dw-update", "dw-propagate", "dw-smooth"])
+    @pytest.mark.parametrize("offset", [-0.5, NAN, INF])
+    def test_engine_built_gamma_law_rejects_bad_offset(self, name, offset):
+        law = _LAWS[name]
+        with pytest.raises(DomainError):
+            dataclasses.replace(law, rate_offset=offset)
+        with pytest.raises(DomainError):
+            law._renewed(*law._arrays, rate_offset=offset)
+
+    def test_replace_keeps_other_fields(self):
+        law = _LAWS["dw-propagate"]
+        moved = dataclasses.replace(law, rate_offset=law.rate_offset + 1.0)
+        assert moved.components == law.components
+        assert moved.rate_offset == law.rate_offset + 1.0

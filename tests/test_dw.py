@@ -29,7 +29,7 @@ from mvhmm.dw import (
     smooth_dw,
     update_gamma,
 )
-from mvhmm.errors import AllWeightsZero
+from mvhmm.errors import AllWeightsZero, DomainError
 from mvhmm.fv import NEW_LABEL, predictive_pmf
 from mvhmm.specfun import log_neg_bin_pmf
 
@@ -393,6 +393,19 @@ class TestPredictCount:
         assert empirical_mean == pytest.approx(
             predict_count_mean(result.law), abs=1e-8
         )
+
+
+    @pytest.mark.parametrize("tail", [0.0, -1e-12, 1.0, 2.0, math.nan])
+    def test_tail_outside_unit_interval_rejected(self, reg2, flat2, tail):
+        law = GammaMixtureLaw.prior(flat2, reg2, beta=1.0)
+        with pytest.raises(DomainError):
+            predict_count_pmf(law, tail)
+
+    def test_negative_support_rejected(self, reg2, flat2):
+        law = GammaMixtureLaw.prior(flat2, reg2, beta=1.0)
+        with pytest.raises(DomainError):
+            predict_count_pmf(law, 1e-12, -5)
+        assert list(predict_count_pmf(law, 1e-12, 0)) == [0]
 
 
 class TestPredictDraw:
