@@ -14,7 +14,6 @@ from .core import (
     MultiIndex,
     ObservationTimeline,
     TypeRegistry,
-    merge_registries,
     normalize,
 )
 from .dual import (
@@ -42,7 +41,6 @@ from .dw import (
 )
 from .errors import (
     AllWeightsZero,
-    ConsistencyError,
     DegeneracyError,
     DomainError,
     MvhmmError,
@@ -70,7 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AllWeightsZero",
     "BaseMeasure",
-    "ConsistencyError",
     "DegeneracyError",
     "DirichletMixtureLaw",
     "DomainError",
@@ -99,7 +96,6 @@ __all__ = [
     "fv_totals_transition",
     "load_config",
     "load_timeline",
-    "merge_registries",
     "normalize",
     "one_step_smoothing_dw",
     "one_step_smoothing_weights",

@@ -16,7 +16,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "ObservationTimeline",
     "DirichletMixtureLaw",
     "GammaMixtureLaw",
-    "merge_registries",
     "NORMALIZATION_TOL",
 ]
 
@@ -100,13 +99,6 @@ class MultiIndex:
         for combo in itertools.product(*(range(v + 1) for v in self.counts)):
             yield MultiIndex(combo)
 
-    def reindexed(self, positions: Sequence[int], new_k: int) -> "MultiIndex":
-        """Embed into a larger registry; ``positions[j]`` is the new slot of j."""
-        out = [0] * new_k
-        for j, v in enumerate(self.counts):
-            out[positions[j]] = v
-        return MultiIndex(out)
-
 
 @dataclass(frozen=True)
 class TypeRegistry:
@@ -130,23 +122,6 @@ class TypeRegistry:
 
     def __contains__(self, label: str) -> bool:
         return label in self.labels
-
-
-def merge_registries(
-    a: TypeRegistry, b: TypeRegistry
-) -> tuple[TypeRegistry, tuple[int, ...], tuple[int, ...]]:
-    """Union of two registries with a stable order (a first, then new labels).
-
-    Returns the merged registry and the injective position maps for a and b.
-    """
-    labels = list(a.labels)
-    for lab in b.labels:
-        if lab not in labels:
-            labels.append(lab)
-    merged = TypeRegistry(tuple(labels))
-    map_a = tuple(range(a.k))
-    map_b = tuple(labels.index(lab) for lab in b.labels)
-    return merged, map_a, map_b
 
 
 @dataclass(frozen=True)
@@ -349,6 +324,8 @@ class _MixtureBase:
             object.__setattr__(self, name, value)
         if indices.shape != (len(log_weights), self.registry.k):
             raise DomainError("component index length != registry size")
+        if not len(log_weights):
+            raise DomainError("a mixture law needs at least one component")
         log_weights.flags.writeable = indices.flags.writeable = False
         object.__setattr__(self, "_arrays", (log_weights, indices))
 
@@ -447,13 +424,6 @@ class GammaMixtureLaw(_MixtureBase):
             raise DomainError(
                 f"rate offset must be finite and >= 0, got {self.rate_offset}"
             )
-
-    @property
-    def effective_cardinality(self) -> float:
-        """Accumulated rate offset; at a smoothing query this equals the
-        propagated past cardinality plus the present one plus the propagated
-        future cardinality."""
-        return self.rate_offset
 
     @staticmethod
     def from_components(

@@ -42,12 +42,8 @@ __all__ = [
     "c_flow_integral",
     "dw_survival_prob",
     "fv_totals_transition",
-    "fv_totals_matrix",
     "fv_typed_log_prob",
     "dw_typed_log_prob",
-    "gillespie_fv",
-    "gillespie_dw",
-    "GillespieResult",
     "clear_transition_cache",
 ]
 
@@ -316,13 +312,6 @@ def fv_totals_transition(
     return TotalsTransitionTable(n, t, probs[n, : n + 1], logs[n, : n + 1])
 
 
-def fv_totals_matrix(
-    theta: float, n: int, t: float, rtol: float = DEFAULT_ODE_RTOL
-) -> np.ndarray:
-    """Matrix [p_{i,k}(t)] for 0 <= k <= i <= n (upper entries zero)."""
-    return _totals_tables(theta, t, n)[0][: n + 1, : n + 1].copy()
-
-
 def fv_typed_log_prob(
     spec: FvDualSpec,
     nvec: MultiIndex,
@@ -410,109 +399,3 @@ def _dw_typed_log_probs(
     for j in range(m.shape[1]):
         out = out + binom[m[:, j], k[:, j]]
     return out
-
-
-@dataclass(frozen=True)
-class GillespieResult:
-    """Empirical terminal-state frequencies with standard errors."""
-
-    replicates: int
-    counts: dict[MultiIndex, int]
-
-    def freq(self, idx: MultiIndex) -> float:
-        return self.counts.get(idx, 0) / self.replicates
-
-    def se(self, idx: MultiIndex) -> float:
-        f = self.freq(idx)
-        return math.sqrt(max(f * (1.0 - f), 1.0 / self.replicates) / self.replicates)
-
-    def totals_freq(self, k: int) -> float:
-        return (
-            sum(c for idx, c in self.counts.items() if idx.total == k)
-            / self.replicates
-        )
-
-    def totals_se(self, k: int) -> float:
-        f = self.totals_freq(k)
-        return math.sqrt(max(f * (1.0 - f), 1.0 / self.replicates) / self.replicates)
-
-
-def _tally(states: np.ndarray) -> dict[MultiIndex, int]:
-    out: dict[MultiIndex, int] = {}
-    uniq, counts = np.unique(states, axis=0, return_counts=True)
-    for row, cnt in zip(uniq, counts):
-        out[MultiIndex(row)] = int(cnt)
-    return out
-
-
-def gillespie_fv(
-    spec: FvDualSpec,
-    nvec: MultiIndex,
-    t: float,
-    replicates: int,
-    rng: np.random.Generator,
-) -> GillespieResult:
-    """Simulate the typed chain exactly: per-type rate m_j*(theta+|m|-1)/2."""
-    if replicates < 1:
-        raise DomainError("at least one replicate required")
-    k = len(nvec)
-    states = np.tile(np.array(nvec.counts, dtype=np.int64), (replicates, 1))
-    clock = np.zeros(replicates)
-    while True:
-        totals = states.sum(axis=1)
-        running = (totals > 0) & (clock <= t)
-        if not running.any():
-            break
-        idx = np.flatnonzero(running)
-        rates = totals[idx] * (spec.theta + totals[idx] - 1) / 2.0
-        clock[idx] += rng.exponential(1.0 / rates)
-        fire = idx[clock[idx] <= t]
-        if fire.size == 0:
-            continue
-        u = rng.random(fire.size) * totals[fire]
-        cum = np.cumsum(states[fire], axis=1)
-        which = (cum > u[:, None]).argmax(axis=1)
-        states[fire, which] -= 1
-    return GillespieResult(replicates, _tally(states))
-
-
-def gillespie_dw(
-    spec: DwDualSpec,
-    nvec: MultiIndex,
-    t: float,
-    replicates: int,
-    rng: np.random.Generator,
-) -> GillespieResult:
-    """Simulate the cardinality-flow chain by thinning the dominating rate.
-
-    Lineages are independent: each proposes events at the constant rate
-    kappa*(beta + c) and accepts with probability (beta + C_s)/(beta + c),
-    which realizes the inhomogeneous hazard kappa*(beta + C_s).
-    """
-    if replicates < 1:
-        raise DomainError("at least one replicate required")
-    beta, c, kap = spec.beta, spec.c, spec.kappa
-    h_dom = kap * (beta + c)
-    out = np.empty((replicates, len(nvec)), dtype=np.int64)
-    for j, nj in enumerate(nvec):
-        if nj == 0:
-            out[:, j] = 0
-            continue
-        size = replicates * nj
-        tau = np.zeros(size)
-        dead = np.zeros(size, dtype=bool)
-        pending = np.ones(size, dtype=bool)
-        while pending.any():
-            idx = np.flatnonzero(pending)
-            tau[idx] += rng.exponential(1.0 / h_dom, idx.size)
-            past = tau[idx] > t
-            pending[idx[past]] = False
-            cand = idx[~past]
-            if cand.size:
-                cs = beta * c * np.exp(-beta * tau[cand] / 2.0)
-                cs /= (beta + c) - c * np.exp(-beta * tau[cand] / 2.0)
-                accept = rng.random(cand.size) < (beta + cs) / (beta + c)
-                dead[cand[accept]] = True
-                pending[cand[accept]] = False
-        out[:, j] = (~dead).reshape(replicates, nj).sum(axis=1)
-    return GillespieResult(replicates, _tally(out))

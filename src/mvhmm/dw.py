@@ -17,6 +17,7 @@ weights are reweighted by the size likelihood and the elements drawn so far.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -323,6 +324,12 @@ def predict_count_mean(law: GammaMixtureLaw) -> float:
     return sum(math.exp(lw) * (theta + sum(m)) / b_total for lw, m in law._rows())
 
 
+def _check_draw_size(m_count) -> None:
+    ok = isinstance(m_count, numbers.Integral) and not isinstance(m_count, bool)
+    if m_count is not None and not (ok and m_count >= 0):
+        raise DomainError(f"draw size must be an integer >= 0, got {m_count!r}")
+
+
 def predictive_label_pmf(
     law: GammaMixtureLaw,
     history: tuple[str, ...] = (),
@@ -334,6 +341,7 @@ def predictive_label_pmf(
     given) and of the elements drawn so far; the urns then mix exactly as in
     the Dirichlet engine, with the rate parameters cancelling.
     """
+    _check_draw_size(m_count)
     if m_count is None:
         return _urn_pmf(law, history)
     p = 1.0 / (1.0 + (law.beta + law.rate_offset))
@@ -371,6 +379,7 @@ def predict_draw(
     urn mixture with component weights reweighted by the size likelihood and
     the elements sampled so far.
     """
+    _check_draw_size(m_count)
     registry = law.registry
     t = _cached_tables(law, _DrawTables)
     theta_eff = t.theta_eff

@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "MvhmmError",
+    "DomainError",
+    "AllWeightsZero",
+    "SchemaError",
+    "OrderError",
+    "DegeneracyError",
+]
+
 
 class MvhmmError(Exception):
     """Base class for all package-specific errors."""
@@ -7,10 +16,6 @@ class MvhmmError(Exception):
 
 class DomainError(MvhmmError, ValueError):
     """An argument is outside the mathematical domain of a function."""
-
-
-class ConsistencyError(MvhmmError, ValueError):
-    """Mutually dependent arguments disagree (e.g. totals vs. per-draw sums)."""
 
 
 class AllWeightsZero(MvhmmError, ValueError):

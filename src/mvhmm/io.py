@@ -148,6 +148,8 @@ def parse_timeline_text(text: str, aggregate: bool = False) -> ObservationTimeli
         header = [h.strip().lower() for h in next(reader)]
     except StopIteration:
         raise SchemaError("empty file: at least one time required") from None
+    if len(set(header)) != len(header):
+        raise SchemaError(f"repeated column in header {header!r}")
     if set(header) == set(_FV_FIELDS):
         mode = "fv"
     elif set(header) == set(_DW_FIELDS):

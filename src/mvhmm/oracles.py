@@ -2,8 +2,9 @@
 ``validate`` command.
 
 Nothing here reuses the engines' weight formulas: the diffusion samplers
-integrate the signal dynamics directly, the particle smoother conditions
-sampled trajectories on the data, and the quadrature oracle composes the
+integrate the signal dynamics directly, the Gillespie samplers run the dual
+death chains from their rates, the particle smoother conditions sampled
+trajectories on the data, and the quadrature oracle composes the
 update/propagation operators pointwise on a grid.  Comparisons are reported
 with standard errors and z-scores; a check passes when |z| <= 3 or an
 absolute tolerance applies.
@@ -34,9 +35,8 @@ from .dual import (
     c_flow,
     dw_survival_prob,
     dw_typed_log_prob,
+    fv_totals_transition,
     fv_typed_log_prob,
-    gillespie_dw,
-    gillespie_fv,
     s_t,
 )
 from .errors import DegeneracyError, DomainError
@@ -46,6 +46,9 @@ __all__ = [
     "OracleReport",
     "simulate_wf",
     "simulate_cir",
+    "GillespieResult",
+    "gillespie_fv",
+    "gillespie_dw",
     "particle_smoother_fv",
     "particle_smoother_dw",
     "beta_mixture_density",
@@ -104,13 +107,18 @@ def simulate_wf(
     covariance x_j(delta_jk - x_k) dt; paths are clipped at 1e-12 and
     renormalized after every step.
     """
-    alpha = np.asarray(alpha_vec, dtype=float)
-    theta = alpha.sum()
     x = np.tile(np.asarray(x0, dtype=float), (n_paths, 1))
     if t == 0.0:
         return x
     if dt > 1e-3 * t:
         raise DomainError("step size too coarse: require dt <= 1e-3 * t")
+    return _euler_wf_from(x, np.asarray(alpha_vec, dtype=float), t, dt, rng)
+
+
+def _euler_wf_from(
+    x: np.ndarray, alpha: np.ndarray, t: float, dt: float, rng: np.random.Generator
+) -> np.ndarray:
+    theta = alpha.sum()
     steps = int(math.ceil(t / dt))
     h = t / steps
     sqrt_h = math.sqrt(h)
@@ -142,6 +150,109 @@ def simulate_cir(
     s = s_t(beta, t)
     m = rng.poisson(z0 * s)
     return rng.gamma(alpha_j + m, 1.0 / (beta + s))
+
+
+# ---------------------------------------------------------------------------
+# death-chain simulators
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GillespieResult:
+    """Empirical terminal-state frequencies with standard errors."""
+
+    replicates: int
+    counts: dict[MultiIndex, int]
+
+    def freq(self, idx: MultiIndex) -> float:
+        return self.counts.get(idx, 0) / self.replicates
+
+    def totals_freq(self, k: int) -> float:
+        return (
+            sum(c for idx, c in self.counts.items() if idx.total == k)
+            / self.replicates
+        )
+
+    def totals_se(self, k: int) -> float:
+        f = self.totals_freq(k)
+        return math.sqrt(max(f * (1.0 - f), 1.0 / self.replicates) / self.replicates)
+
+
+def _tally(states: np.ndarray) -> dict[MultiIndex, int]:
+    uniq, counts = np.unique(states, axis=0, return_counts=True)
+    return {MultiIndex(row): int(cnt) for row, cnt in zip(uniq, counts)}
+
+
+def gillespie_fv(
+    spec: FvDualSpec,
+    nvec: MultiIndex,
+    t: float,
+    replicates: int,
+    rng: np.random.Generator,
+) -> GillespieResult:
+    """Simulate the typed chain exactly: per-type rate m_j*(theta+|m|-1)/2."""
+    if replicates < 1:
+        raise DomainError("at least one replicate required")
+    states = np.tile(np.array(nvec.counts, dtype=np.int64), (replicates, 1))
+    clock = np.zeros(replicates)
+    while True:
+        totals = states.sum(axis=1)
+        running = (totals > 0) & (clock <= t)
+        if not running.any():
+            break
+        idx = np.flatnonzero(running)
+        rates = totals[idx] * (spec.theta + totals[idx] - 1) / 2.0
+        clock[idx] += rng.exponential(1.0 / rates)
+        fire = idx[clock[idx] <= t]
+        if fire.size == 0:
+            continue
+        u = rng.random(fire.size) * totals[fire]
+        cum = np.cumsum(states[fire], axis=1)
+        which = (cum > u[:, None]).argmax(axis=1)
+        states[fire, which] -= 1
+    return GillespieResult(replicates, _tally(states))
+
+
+def gillespie_dw(
+    spec: DwDualSpec,
+    nvec: MultiIndex,
+    t: float,
+    replicates: int,
+    rng: np.random.Generator,
+) -> GillespieResult:
+    """Simulate the cardinality-flow chain by thinning the dominating rate.
+
+    Lineages are independent: each proposes events at the constant rate
+    kappa*(beta + c) and accepts with probability (beta + C_s)/(beta + c),
+    which realizes the inhomogeneous hazard kappa*(beta + C_s).
+    """
+    if replicates < 1:
+        raise DomainError("at least one replicate required")
+    beta, c, kap = spec.beta, spec.c, spec.kappa
+    h_dom = kap * (beta + c)
+    out = np.empty((replicates, len(nvec)), dtype=np.int64)
+    for j, nj in enumerate(nvec):
+        if nj == 0:
+            out[:, j] = 0
+            continue
+        size = replicates * nj
+        tau = np.zeros(size)
+        dead = np.zeros(size, dtype=bool)
+        pending = np.ones(size, dtype=bool)
+        while pending.any():
+            idx = np.flatnonzero(pending)
+            tau[idx] += rng.exponential(1.0 / h_dom, idx.size)
+            past = tau[idx] > t
+            pending[idx[past]] = False
+            cand = idx[~past]
+            if cand.size:
+                cs = beta * c * np.exp(-beta * tau[cand] / 2.0)
+                cs /= (beta + c) - c * np.exp(-beta * tau[cand] / 2.0)
+                accept = rng.random(cand.size) < (beta + cs) / (beta + c)
+                dead[cand[accept]] = True
+                pending[cand[accept]] = False
+        out[:, j] = (~dead).reshape(replicates, nj).sum(axis=1)
+    return GillespieResult(replicates, _tally(out))
 
 
 # ---------------------------------------------------------------------------
@@ -177,17 +288,43 @@ def dw_h_log(z: np.ndarray, n: int, c: float, theta: float, beta: float) -> np.n
 # ---------------------------------------------------------------------------
 
 
-def _full_alpha(base: BaseMeasure, registry: TypeRegistry) -> np.ndarray:
-    alpha = np.array(base.alpha_vector(registry), dtype=float)
-    rest = base.theta * base.unseen_mass
-    if rest > 1e-12:
-        alpha = np.append(alpha, rest)
-    if np.any(alpha <= 0.0):
+def _observed_alpha(base: BaseMeasure, registry: TypeRegistry) -> tuple[float, ...]:
+    alpha = base.alpha_vector(registry)
+    if any(a <= 0.0 for a in alpha):
         raise DomainError(
             "particle smoother needs a discrete base measure with mass at "
             "every observed label"
         )
     return alpha
+
+
+def _bootstrap(
+    n_times: int, i: int, x: np.ndarray, move, log_lik, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bootstrap filter over ``n_times`` observation times from the particles
+    ``x`` at the first: ``move(x, j)`` samples the transition into time j,
+    ``log_lik(x, j)`` scores the data at j.  Resamples multinomially after
+    every time but the last, tracking each particle's ancestor at time i.
+    Returns the final normalized weights and those ancestors."""
+    particles = len(x)
+    xi = None
+    for j in range(n_times):
+        if j > 0:
+            x = move(x, j)
+        if j == i:
+            xi = x.copy()
+        logw = log_lik(x, j)
+        w = np.exp(logw - logw.max())
+        ess = w.sum() ** 2 / np.square(w).sum()
+        if ess < 50:
+            raise DegeneracyError(f"effective sample size {ess:.1f} < 50")
+        if j < n_times - 1:
+            pick = rng.choice(particles, size=particles, p=w / w.sum())
+            x = x[pick]
+            if xi is not None:
+                xi = xi[pick]
+    assert xi is not None
+    return w / w.sum(), xi
 
 
 def _smoother_run_fv(
@@ -198,50 +335,21 @@ def _smoother_run_fv(
     dt: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    k_obs = timeline.registry.k
-    x = rng.dirichlet(alpha, size=particles)
-    xi = None
-    logw = np.zeros(particles)
-    for j in range(timeline.n_times):
-        if j > 0:
-            gap = timeline.times[j] - timeline.times[j - 1]
-            x = _euler_wf_from(x, alpha, gap, dt, rng)
-        if j == i:
-            xi = x.copy()
-        counts = timeline.fv_counts[j]
-        for cell, n_cell in enumerate(counts):
+    times = timeline.times
+
+    def move(x, j):
+        return _euler_wf_from(x, alpha, times[j] - times[j - 1], dt, rng)
+
+    def log_lik(x, j):
+        out = np.zeros(len(x))
+        for cell, n_cell in enumerate(timeline.fv_counts[j]):
             if n_cell:
-                logw += n_cell * np.log(x[:, cell])
-        w = np.exp(logw - logw.max())
-        ess = w.sum() ** 2 / np.square(w).sum()
-        if ess < 50:
-            raise DegeneracyError(f"effective sample size {ess:.1f} < 50")
-        if j < timeline.n_times - 1:
-            pick = rng.choice(particles, size=particles, p=w / w.sum())
-            x = x[pick]
-            if xi is not None:
-                xi = xi[pick]
-            logw = np.zeros(particles)
-    assert xi is not None
-    w /= w.sum()
-    return w @ xi[:, :k_obs]
+                out += n_cell * np.log(x[:, cell])
+        return out
 
-
-def _euler_wf_from(
-    x: np.ndarray, alpha: np.ndarray, t: float, dt: float, rng: np.random.Generator
-) -> np.ndarray:
-    theta = alpha.sum()
-    steps = int(math.ceil(t / dt))
-    h = t / steps
-    sqrt_h = math.sqrt(h)
-    for _ in range(steps):
-        eta = rng.standard_normal(x.shape)
-        s = np.sqrt(x)
-        noise = s * eta - x * (s * eta).sum(axis=1, keepdims=True)
-        x = x + 0.5 * (alpha - theta * x) * h + sqrt_h * noise
-        x = np.clip(x, 1e-12, None)
-        x /= x.sum(axis=1, keepdims=True)
-    return x
+    x = rng.dirichlet(alpha, size=particles)
+    w, xi = _bootstrap(timeline.n_times, i, x, move, log_lik, rng)
+    return w @ xi[:, : timeline.registry.k]
 
 
 def particle_smoother_fv(
@@ -261,7 +369,10 @@ def particle_smoother_fv(
     """
     if particles < 10**4:
         raise DomainError("at least 1e4 particles required")
-    alpha = _full_alpha(base, timeline.registry)
+    alpha = np.array(_observed_alpha(base, timeline.registry), dtype=float)
+    rest = base.theta * base.unseen_mass
+    if rest > 1e-12:
+        alpha = np.append(alpha, rest)
     per = particles // n_reps
     estimates = np.array(
         [
@@ -284,27 +395,14 @@ def _smoother_run_dw_cell(
     particles: int,
     rng: np.random.Generator,
 ) -> float:
+    def move(z, j):
+        return simulate_cir(alpha_j, beta, z, times[j] - times[j - 1], rng)
+
+    def log_lik(z, j):
+        return counts[j] * np.log(z) - cards[j] * z
+
     z = rng.gamma(alpha_j, 1.0 / beta, size=particles)
-    zi = None
-    logw = np.zeros(particles)
-    for j in range(len(times)):
-        if j > 0:
-            z = simulate_cir(alpha_j, beta, z, times[j] - times[j - 1], rng)
-        if j == i:
-            zi = z.copy()
-        logw += counts[j] * np.log(z) - cards[j] * z
-        w = np.exp(logw - logw.max())
-        ess = w.sum() ** 2 / np.square(w).sum()
-        if ess < 50:
-            raise DegeneracyError(f"effective sample size {ess:.1f} < 50")
-        if j < len(times) - 1:
-            pick = rng.choice(particles, size=particles, p=w / w.sum())
-            z = z[pick]
-            if zi is not None:
-                zi = zi[pick]
-            logw = np.zeros(particles)
-    assert zi is not None
-    w /= w.sum()
+    w, zi = _bootstrap(len(times), i, z, move, log_lik, rng)
     return float(w @ zi)
 
 
@@ -324,12 +422,7 @@ def particle_smoother_dw(
     """
     if particles < 10**4:
         raise DomainError("at least 1e4 particles required")
-    alpha = base.alpha_vector(timeline.registry)
-    if any(a <= 0.0 for a in alpha):
-        raise DomainError(
-            "particle smoother needs a discrete base measure with mass at "
-            "every observed label"
-        )
+    alpha = _observed_alpha(base, timeline.registry)
     per = particles // n_reps
     k = timeline.registry.k
     cards = [timeline.cardinality_at(j) for j in range(timeline.n_times)]
@@ -601,8 +694,6 @@ def run_dual_rates_suite(
             res.totals_se(1),
         )
     )
-    from .dual import fv_totals_transition
-
     table = fv_totals_transition(theta, 2, 1.0)
     res = gillespie_fv(spec, MultiIndex((1, 1)), 1.0, replicates, rng)
     for k in range(3):
@@ -619,7 +710,6 @@ def run_dual_rates_suite(
     n = MultiIndex((3, 2))
     t = 0.7
     res = gillespie_dw(dspec, n, t, replicates, rng)
-    q = dw_survival_prob(dspec, t)
     for k in range(n.total + 1):
         exact = sum(
             math.exp(dw_typed_log_prob(dspec, n, kv, t))

@@ -9,16 +9,13 @@ representable.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import ConsistencyError, DomainError
+from .errors import DomainError
 
 __all__ = [
-    "log_multivariate_beta",
     "log_dir_cat",
-    "log_c",
     "log_gamma_marginal",
-    "log_rc",
     "log_neg_bin_pmf",
     "log_binom_pmf",
     "log_pochhammer",
@@ -30,20 +27,6 @@ def _check_counts(n: Sequence[int]) -> None:
     for v in n:
         if v < 0:
             raise DomainError(f"negative count {v}")
-
-
-def log_multivariate_beta(alpha: Sequence[float]) -> float:
-    """log B(a) = sum_j log Gamma(a_j) - log Gamma(sum_j a_j)."""
-    if len(alpha) == 0:
-        raise DomainError("empty parameter vector")
-    total = 0.0
-    acc = 0.0
-    for a in alpha:
-        if a <= 0.0:
-            raise DomainError(f"nonpositive Dirichlet parameter {a}")
-        acc += math.lgamma(a)
-        total += a
-    return acc - math.lgamma(total)
 
 
 def log_dir_cat(
@@ -77,21 +60,6 @@ def log_dir_cat(
     return out
 
 
-def log_c(
-    n: Sequence[int],
-    m: Sequence[int],
-    alpha: Sequence[float],
-    total: float | None = None,
-) -> float:
-    """log of the joint-to-marginal ratio m(n+m) / (m(n) m(m))."""
-    nm = [a + b for a, b in zip(n, m)]
-    return (
-        log_dir_cat(nm, alpha, total)
-        - log_dir_cat(n, alpha, total)
-        - log_dir_cat(m, alpha, total)
-    )
-
-
 def log_gamma_marginal(n: int, a: float, theta: float, beta: float) -> float:
     """Log marginal of a total count ``n`` from ``a`` unit-rate Poisson draws
     against a Gamma(theta, beta) total mass.
@@ -110,46 +78,6 @@ def log_gamma_marginal(n: int, a: float, theta: float, beta: float) -> float:
         - n * math.log(beta + a)
         + math.lgamma(theta + n)
         - math.lgamma(theta)
-    )
-
-
-def log_rc(
-    total_counts: Sequence[int],
-    per_draw_counts: Iterable[Sequence[int]],
-    c: int,
-    alpha: Sequence[float],
-    theta: float,
-    beta: float,
-) -> float:
-    """Log marginal likelihood of ``c`` point-process draws.
-
-    Factorized as gamma-marginal of the total, divided by the per-draw
-    factorials, times the Dirichlet-categorical allocation probability.
-    """
-    draws = list(per_draw_counts)
-    if c != len(draws):
-        raise ConsistencyError(f"cardinality {c} != number of draws {len(draws)}")
-    if c <= 0:
-        raise DomainError("at least one draw required")
-    summed = [0] * len(total_counts)
-    log_fact = 0.0
-    for draw in draws:
-        if len(draw) != len(total_counts):
-            raise ConsistencyError("draw length differs from total counts length")
-        for j, v in enumerate(draw):
-            if v < 0:
-                raise DomainError(f"negative count {v}")
-            summed[j] += v
-            log_fact += math.lgamma(v + 1)
-    if list(total_counts) != summed:
-        raise ConsistencyError(
-            f"total counts {list(total_counts)} != sum of draws {summed}"
-        )
-    n_tot = sum(total_counts)
-    return (
-        log_gamma_marginal(n_tot, float(c), theta, beta)
-        - log_fact
-        + log_dir_cat(total_counts, alpha, theta)
     )
 
 

@@ -11,7 +11,7 @@ import inspect
 import pytest
 
 import mvhmm
-from mvhmm import dual, dw, fv, io
+from mvhmm import cli, core, dual, dw, errors, fv, io, oracles, specfun
 
 POSITIONAL = [
     (fv, "smooth", ("timeline", "i", "base", "pruning_epsilon", "rtol")),
@@ -71,6 +71,17 @@ def test_positional_signature(owner, name, params):
 def test_public_names_import():
     for name in mvhmm.__all__:
         assert getattr(mvhmm, name) is not None
+
+
+@pytest.mark.parametrize(
+    "module",
+    [core, dual, dw, fv, io, oracles, specfun, errors, cli],
+    ids=lambda module: module.__name__,
+)
+def test_module_names_resolve(module):
+    # a name deleted from a module but left in its __all__ fails here
+    for name in module.__all__:
+        assert hasattr(module, name), name
 
 
 def test_result_types_and_config_fields():

@@ -13,7 +13,6 @@ from mvhmm.core import (
     MultiIndex,
     ObservationTimeline,
     TypeRegistry,
-    merge_registries,
     normalize,
 )
 from mvhmm.dual import DwDualSpec, FvDualSpec
@@ -70,44 +69,6 @@ class TestRegistry:
     def test_distinct(self):
         with pytest.raises(DomainError):
             TypeRegistry(("a", "a"))
-
-    def test_merge_basic(self):
-        a = TypeRegistry(("x", "y"))
-        b = TypeRegistry(("y", "z"))
-        merged, map_a, map_b = merge_registries(a, b)
-        assert merged.labels == ("x", "y", "z")
-        assert map_a == (0, 1)
-        assert map_b == (1, 2)
-
-    def test_merge_empty_left(self):
-        a = TypeRegistry(())
-        b = TypeRegistry(("x",))
-        merged, map_a, map_b = merge_registries(a, b)
-        assert merged.labels == ("x",)
-        assert map_a == () and map_b == (0,)
-
-    def test_merge_idempotent(self):
-        a = TypeRegistry(("a", "b", "c"))
-        merged, map_a, map_b = merge_registries(a, a)
-        assert merged.labels == a.labels
-        assert map_a == map_b == (0, 1, 2)
-
-    def test_merge_associative_up_to_order(self):
-        a, b, c = (
-            TypeRegistry(("p", "q")),
-            TypeRegistry(("q", "r")),
-            TypeRegistry(("r", "s")),
-        )
-        left = merge_registries(merge_registries(a, b)[0], c)[0]
-        right = merge_registries(a, merge_registries(b, c)[0])[0]
-        assert set(left.labels) == set(right.labels)
-
-    def test_reindexed_counts(self):
-        a = TypeRegistry(("x", "y"))
-        b = TypeRegistry(("y", "z"))
-        merged, _, map_b = merge_registries(a, b)
-        m = MultiIndex((3, 1)).reindexed(map_b, merged.k)
-        assert m == MultiIndex((0, 3, 1))
 
 
 class TestBaseMeasure:
@@ -212,7 +173,7 @@ class TestGammaLaw:
         law = GammaMixtureLaw(
             ((0.0, MultiIndex((0, 0, 0))),), base, registry, beta=1.0, rate_offset=2.0
         )
-        assert law.effective_cardinality == 2.0
+        assert law.rate_offset == 2.0
 
     def test_negative_offset_rejected(self, registry):
         base = BaseMeasure(1.0)
@@ -396,6 +357,26 @@ class TestRepresentation:
             dataclasses.replace(law, rate_offset=offset)
         with pytest.raises(DomainError):
             law._renewed(*law._arrays, rate_offset=offset)
+
+    @pytest.mark.parametrize("name", sorted(_LAWS))
+    def test_empty_law_rejected(self, name):
+        law = _LAWS[name]
+        with pytest.raises(DomainError):
+            dataclasses.replace(law, components=())
+        # every weight -inf: nothing is left once equal indices are merged
+        gone = [(-INF, idx) for _, idx in law.components]
+        beta = {"beta": law.beta} if isinstance(law, GammaMixtureLaw) else {}
+        with pytest.raises(DomainError):
+            type(law).from_components(
+                gone, law.base, law.registry, normalize=False, **beta
+            )
+
+    def test_empty_positional_constructors_rejected(self):
+        base, reg = BaseMeasure(1.0), TypeRegistry(("a",))
+        with pytest.raises(DomainError):
+            DirichletMixtureLaw((), base, reg)
+        with pytest.raises(DomainError):
+            GammaMixtureLaw((), base, reg, 1.0)
 
     def test_replace_keeps_other_fields(self):
         law = _LAWS["dw-propagate"]

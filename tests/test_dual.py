@@ -19,14 +19,12 @@ from mvhmm.dual import (
     clear_transition_cache,
     dw_survival_prob,
     dw_typed_log_prob,
-    fv_totals_matrix,
     fv_totals_transition,
     fv_typed_log_prob,
-    gillespie_dw,
-    gillespie_fv,
     s_t,
 )
 from mvhmm.errors import DomainError
+from mvhmm.oracles import gillespie_dw, gillespie_fv
 from mvhmm.specfun import log_binom_pmf, log_falling_binom
 
 
@@ -122,9 +120,13 @@ class TestTotalsTable:
     def test_chapman_kolmogorov(self):
         theta, n = 1.2, 5
         t, s = 0.4, 0.9
-        pt = fv_totals_matrix(theta, n, t)
-        ps = fv_totals_matrix(theta, n, s)
-        pts = fv_totals_matrix(theta, n, t + s)
+
+        def matrix(t):
+            # row r is the law started from total r, zero above the diagonal
+            rows = [fv_totals_transition(theta, r, t).probs for r in range(n + 1)]
+            return np.array([np.pad(row, (0, n + 1 - len(row))) for row in rows])
+
+        pt, ps, pts = matrix(t), matrix(s), matrix(t + s)
         assert np.allclose(pts, pt @ ps, atol=1e-8)
 
     def test_stochastic_monotonicity(self):
@@ -180,7 +182,7 @@ class TestTotalsAccuracy:
     def test_rows_do_not_depend_on_history(self):
         clear_transition_cache()
         first = fv_totals_transition(0.7, 20, 1.3).log_probs.copy()
-        fv_totals_matrix(0.7, 100, 1.3)
+        fv_totals_transition(0.7, 100, 1.3)
         assert np.array_equal(fv_totals_transition(0.7, 20, 1.3).log_probs, first)
         clear_transition_cache()
         assert np.array_equal(fv_totals_transition(0.7, 20, 1.3).log_probs, first)

@@ -415,6 +415,22 @@ class TestPredictDraw:
         m, labels = predict_draw(law, rng, m_count=0)
         assert m == 0 and labels == []
 
+    @pytest.mark.parametrize("m_count", [-1, 2.5, 2.0, True, "2", np.float64(1.0)])
+    def test_bad_draw_size_rejected(self, reg2, flat2, m_count):
+        law = GammaMixtureLaw.prior(flat2, reg2, beta=1.0)
+        with pytest.raises(DomainError):
+            predict_draw(law, np.random.default_rng(0), m_count)
+        with pytest.raises(DomainError):
+            predictive_label_pmf(law, (), m_count)
+
+    def test_numpy_integer_draw_size_accepted(self, reg2, flat2):
+        law = GammaMixtureLaw.prior(flat2, reg2, beta=1.0)
+        m, labels = predict_draw(law, np.random.default_rng(0), np.int64(2))
+        assert m == 2 and len(labels) == 2
+        assert predictive_label_pmf(law, (), np.int64(2)) == predictive_label_pmf(
+            law, (), 2
+        )
+
     def test_single_component_urn(self, reg2, flat2):
         law = GammaMixtureLaw.from_components(
             [(0.0, MultiIndex((2, 1)))], flat2, reg2, beta=1.0, rate_offset=1.0

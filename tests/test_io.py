@@ -100,6 +100,18 @@ class TestTimeline:
         with pytest.raises(SchemaError):
             parse_timeline_text("time,thing\n0,1\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "time,label,count,count\n0,a,1,5\n",
+            "time,draw,label,count,time\n0,1,a,1,0\n",
+            "time,label,Label,count\n0,a,b,1\n",
+        ],
+    )
+    def test_repeated_column_rejected(self, text):
+        with pytest.raises(SchemaError, match="repeated column"):
+            parse_timeline_text(text)
+
     def test_negative_count(self):
         with pytest.raises(ValueError):
             parse_timeline_text("time,label,count\n0.0,A,-1\n")

@@ -6,38 +6,15 @@ import numpy as np
 import pytest
 
 from mvhmm.core import MultiIndex
-from mvhmm.errors import ConsistencyError, DomainError
+from mvhmm.errors import DomainError
+from mvhmm.fv import discrete_case_log
 from mvhmm.specfun import (
     log_binom_pmf,
-    log_c,
     log_dir_cat,
     log_gamma_marginal,
-    log_multivariate_beta,
     log_neg_bin_pmf,
     log_pochhammer,
-    log_rc,
 )
-
-
-class TestLogMultivariateBeta:
-    def test_ones(self):
-        assert log_multivariate_beta((1.0, 1.0)) == pytest.approx(0.0, abs=1e-14)
-
-    def test_two_two(self):
-        # Gamma(2)Gamma(2)/Gamma(4) = 1/6, by direct log-gamma evaluation
-        assert log_multivariate_beta((2.0, 2.0)) == pytest.approx(
-            math.log(1 / 6), abs=1e-13
-        )
-
-    def test_halves(self):
-        # Gamma(1/2)^2 / Gamma(1) = pi
-        assert log_multivariate_beta((0.5, 0.5)) == pytest.approx(
-            math.log(math.pi), abs=1e-13
-        )
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            log_multivariate_beta((1.0, 0.0))
 
 
 class TestLogDirCat:
@@ -79,42 +56,24 @@ class TestLogDirCat:
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
-class TestLogC:
-    def test_empty_second_sample(self):
-        assert log_c((2, 1), (0, 0), (1.0, 1.0)) == pytest.approx(0.0, abs=1e-13)
-
-    def test_worked_value(self):
-        # (1/6) / ((1/2)(1/2)) = 2/3
-        assert log_c((1, 0), (0, 1), (1.0, 1.0)) == pytest.approx(
-            math.log(2 / 3), abs=1e-13
-        )
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            k = rng.integers(1, 4)
-            alpha = rng.uniform(0.2, 2.0, size=k)
-            n = tuple(rng.integers(0, 4, size=k))
-            m = tuple(rng.integers(0, 4, size=k))
-            assert log_c(n, m, alpha) == pytest.approx(
-                log_c(m, n, alpha), abs=1e-12
-            )
-
-
 def _h_log_fv(x, n, alpha):
     return float(np.dot(n, np.log(x))) - log_dir_cat(n, alpha)
 
 
 def test_h_product_identity_fv():
-    # h(x,n) h(x,m) = c(n,m) h(x,n+m) at 100 random simplex points
+    # h(x,n) h(x,m) = c(n,m) h(x,n+m) at 100 random simplex points; log c is
+    # the engine's discrete case term with an empty third block
     rng = np.random.default_rng(3)
     alpha = np.array([0.7, 1.3, 0.5])
     n = np.array([2, 0, 1])
     m = np.array([1, 1, 0])
+    log_c = discrete_case_log(
+        MultiIndex(n), MultiIndex(m), MultiIndex.zeros(3), tuple(alpha), alpha.sum()
+    )
     for _ in range(100):
         x = rng.dirichlet(np.ones(3))
         lhs = _h_log_fv(x, n, alpha) + _h_log_fv(x, m, alpha)
-        rhs = log_c(n, m, alpha) + _h_log_fv(x, n + m, alpha)
+        rhs = log_c + _h_log_fv(x, n + m, alpha)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -139,32 +98,6 @@ class TestLogGammaMarginal:
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
-class TestLogRc:
-    def test_empty_draw(self):
-        theta, beta = 1.3, 0.9
-        val = log_rc((0,), [(0,)], 1, (theta,), theta, beta)
-        assert val == pytest.approx(
-            theta * math.log(beta / (beta + 1.0)), abs=1e-13
-        )
-
-    def test_single_observation(self):
-        # one draw, one point of a single type: NegBin(1; 1, 1/2) = 1/4
-        val = log_rc((1,), [(1,)], 1, (1.0,), 1.0, 1.0)
-        assert val == pytest.approx(math.log(0.25), abs=1e-13)
-
-    def test_permutation_invariance(self):
-        alpha = (0.6, 0.9)
-        draws = [(2, 0), (0, 1), (1, 1)]
-        total = (3, 2)
-        a = log_rc(total, draws, 3, alpha, 1.5, 1.1)
-        b = log_rc(total, draws[::-1], 3, alpha, 1.5, 1.1)
-        assert a == pytest.approx(b, abs=1e-13)
-
-    def test_consistency_error(self):
-        with pytest.raises(ConsistencyError):
-            log_rc((2,), [(1,)], 1, (1.0,), 1.0, 1.0)
-
-
 def _h_log_dw(z, counts, c, alpha, theta, beta):
     z = np.asarray(z, dtype=float)
     out = (
@@ -178,19 +111,20 @@ def _h_log_dw(z, counts, c, alpha, theta, beta):
 
 
 def test_h_product_identity_dw():
-    # h(z,N,c) h(z,M,d) = [r_{c+d}(N+M)/(r_c(N) r_d(M))] h(z,N+M,c+d),
-    # with the per-draw factorials of N+M taken over the concatenated draws
+    # h(z,N,c) h(z,M,d) = [r_{c+d}(N+M)/(r_c(N) r_d(M))] h(z,N+M,c+d); the
+    # per-draw factorials cancel from the ratio, which leaves the engine's
+    # total-count marginals times its discrete case term (empty third block)
     rng = np.random.default_rng(5)
     theta, beta = 1.4, 0.8
     alpha = (0.9, 0.5)
-    draws_n = [(1, 0), (1, 2)]
-    draws_m = [(1, 1)]
     n = (2, 2)
     m = (1, 1)
     log_ratio = (
-        log_rc((3, 3), draws_n + draws_m, 3, alpha, theta, beta)
-        - log_rc(n, draws_n, 2, alpha, theta, beta)
-        - log_rc(m, draws_m, 1, alpha, theta, beta)
+        log_gamma_marginal(6, 3.0, theta, beta)
+        - log_gamma_marginal(4, 2.0, theta, beta)
+        - log_gamma_marginal(2, 1.0, theta, beta)
+    ) + discrete_case_log(
+        MultiIndex(n), MultiIndex(m), MultiIndex.zeros(2), alpha, theta
     )
     for _ in range(50):
         z = rng.uniform(0.05, 3.0, size=2)
