@@ -17,12 +17,10 @@ weights are reweighted by the size likelihood and the elements drawn so far.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import (
     BaseMeasure,
@@ -41,6 +39,7 @@ from .dual import (
 from .errors import DomainError
 from .fv import (
     _cached_tables,
+    _check_size,
     _combine_pairs,
     _filter,
     _fresh_label,
@@ -299,8 +298,9 @@ def predict_count_pmf(
     support is truncated once the certified geometric tail bound drops below
     ``tail``; the returned masses are not renormalized.
     """
-    if not (0.0 < tail < 1.0 and max_support >= 0):
-        raise DomainError(f"need 0 < tail < 1, max_support >= 0: {tail}, {max_support}")
+    if not 0.0 < tail < 1.0:
+        raise DomainError(f"need 0 < tail < 1, got {tail}")
+    _check_size("max_support", max_support)
     b_total = law.beta + law.rate_offset
     p = 1.0 / (1.0 + b_total)
     theta = law.base.theta
@@ -324,12 +324,6 @@ def predict_count_mean(law: GammaMixtureLaw) -> float:
     return sum(math.exp(lw) * (theta + sum(m)) / b_total for lw, m in law._rows())
 
 
-def _check_draw_size(m_count) -> None:
-    ok = isinstance(m_count, numbers.Integral) and not isinstance(m_count, bool)
-    if m_count is not None and not (ok and m_count >= 0):
-        raise DomainError(f"draw size must be an integer >= 0, got {m_count!r}")
-
-
 def predictive_label_pmf(
     law: GammaMixtureLaw,
     history: tuple[str, ...] = (),
@@ -341,9 +335,9 @@ def predictive_label_pmf(
     given) and of the elements drawn so far; the urns then mix exactly as in
     the Dirichlet engine, with the rate parameters cancelling.
     """
-    _check_draw_size(m_count)
     if m_count is None:
         return _urn_pmf(law, history)
+    _check_size("draw size", m_count)
     p = 1.0 / (1.0 + (law.beta + law.rate_offset))
     return _urn_pmf(
         law, history, lambda theta_eff: log_neg_bin_pmf(m_count, theta_eff, p)
@@ -354,17 +348,17 @@ class _DrawTables:
     """Static arrays backing the further-draw sampler of one mixture law."""
 
     def __init__(self, law: GammaMixtureLaw):
-        theta = law.base.theta
+        self.theta = theta = law.base.theta
         self.b_total = law.beta + law.rate_offset
         self.p = 1.0 / (1.0 + self.b_total)
         self.log_w, indices = law._arrays
         self.m_mat = indices.astype(float)
-        self.theta_eff = theta + self.m_mat.sum(axis=1)
+        self.totals = indices.sum(axis=1)
+        self.theta_eff = theta + self.totals
         self.alpha_vec = np.array(law.base.alpha_vector(law.registry))
         self.new_mass = theta * law.base.unseen_mass
         probs = np.exp(self.log_w - logsumexp_1d(self.log_w))
         self.comp_cum = np.cumsum(probs)
-        self.lgamma_theta_eff = gammaln(self.theta_eff)
 
 
 def predict_draw(
@@ -379,7 +373,6 @@ def predict_draw(
     urn mixture with component weights reweighted by the size likelihood and
     the elements sampled so far.
     """
-    _check_draw_size(m_count)
     registry = law.registry
     t = _cached_tables(law, _DrawTables)
     theta_eff = t.theta_eff
@@ -388,15 +381,14 @@ def predict_draw(
         pick = min(pick, len(t.comp_cum) - 1)
         z = rng.gamma(theta_eff[pick], 1.0 / t.b_total)
         m_count = int(rng.poisson(z))
+    else:
+        _check_size("draw size", m_count)
     new_mass = t.new_mass
     # component log-posteriors given the draw size, updated per element
-    lam = t.log_w + (
-        gammaln(theta_eff + m_count)
-        - t.lgamma_theta_eff
-        - math.lgamma(m_count + 1)
-        + m_count * math.log(t.p)
-        + theta_eff * math.log1p(-t.p)
+    size_term = _table(
+        lambda v: log_neg_bin_pmf(m_count, t.theta + v, t.p), int(t.totals.max())
     )
+    lam = t.log_w + size_term[t.totals]
     numer = t.alpha_vec[None, :] + t.m_mat  # per-component known-label masses
     idle = _idle_atoms(law.base, registry)
     extra_labels = list(idle)  # labels off the registry: idle atoms, then new ones
@@ -407,13 +399,12 @@ def predict_draw(
         w = np.exp(lam - lam.max())
         w /= w.sum()
         denom = theta_eff + step
-        reg_probs = (w / denom) @ numer
-        new_prob = float(np.sum(w / denom)) * new_mass
-        extra_probs = [
-            float(np.sum(w / denom)) * cnt for cnt in extra_counts
-        ]
+        w_denom = w / denom
+        w_mass = float(w_denom.sum())
+        new_prob = w_mass * new_mass
+        extra_probs = [w_mass * cnt for cnt in extra_counts]
         cum = np.cumsum(
-            np.concatenate([reg_probs, np.array(extra_probs), [new_prob]])
+            np.concatenate([w_denom @ numer, np.array(extra_probs), [new_prob]])
         )
         u = rng.random() * cum[-1]
         j = int(np.searchsorted(cum, u, side="right"))

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import weakref
 from dataclasses import dataclass, field, replace
 
@@ -778,6 +779,14 @@ def _pair_components(result: "FvSmoothingResult"):
     return comps, cum / cum[-1]
 
 
+def _check_size(name: str, value, low: int = 0) -> None:
+    """Reject a size that is not an integer >= ``low`` (numpy integers pass,
+    bools do not)."""
+    ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (ok and value >= low):
+        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def predictive_sample(
     result: FvSmoothingResult,
     count: int,
@@ -792,8 +801,7 @@ def predictive_sample(
     count, number of earlier further samples): the base measure, the
     weighted observed atoms, or the empirical history.
     """
-    if count < 1:
-        raise DomainError("count must be >= 1")
+    _check_size("count", count, 1)
     components, cum = _cached_tables(result, _pair_components)
     base = result.law.base
     registry = result.law.registry

@@ -74,6 +74,7 @@ class RunConfig:
 def parse_config_text(text: str, env: dict[str, str] | None = None) -> RunConfig:
     """Parse a flat key-value config, applying MVHMM_ environment overrides."""
     pairs: dict[str, str] = {}
+    where: dict[str, str] = {}  # origin of each value, for error messages
     atoms: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -86,9 +87,10 @@ def parse_config_text(text: str, env: dict[str, str] | None = None) -> RunConfig
             label = key[len("atom.") :]
             if not label:
                 raise SchemaError(f"line {lineno}: empty atom label")
-            atoms[label] = float(value)
+            atoms[label] = _parse(float, value, f"line {lineno}: {key}")
         elif key in _SCALAR_KEYS:
             pairs[key] = value
+            where[key] = f"line {lineno}: {key}"
         else:
             raise SchemaError(f"line {lineno}: unknown key {key!r}")
     env = dict(os.environ) if env is None else env
@@ -96,31 +98,34 @@ def parse_config_text(text: str, env: dict[str, str] | None = None) -> RunConfig
         override = env.get("MVHMM_" + key.upper())
         if override is not None:
             pairs[key] = override
+            where[key] = "MVHMM_" + key.upper()
+
+    def number(key, default=None, convert=float):
+        return _parse(convert, pairs[key], where[key]) if key in pairs else default
+
     if "model" not in pairs:
         raise SchemaError("missing required key 'model'")
     if "theta" not in pairs:
         raise SchemaError("missing required key 'theta'")
+    theta = number("theta")
     kind = pairs.get("base", "nonatomic").lower()
     if kind == "nonatomic":
-        base = BaseMeasure(float(pairs["theta"]))
+        base = BaseMeasure(theta)
     elif kind == "discrete":
         if not atoms:
             raise SchemaError("discrete base requires atom.<label> entries")
-        base = BaseMeasure(float(pairs["theta"]), atoms)
+        base = BaseMeasure(theta, atoms)
     else:
         raise SchemaError(f"base must be 'nonatomic' or 'discrete', got {kind!r}")
-    beta = float(pairs["beta"]) if "beta" in pairs else None
     return RunConfig(
         model=pairs["model"].lower(),
-        theta=float(pairs["theta"]),
+        theta=theta,
         base=base,
-        beta=beta,
-        pruning_epsilon=float(pairs.get("pruning_epsilon", "0")),
-        seed=int(pairs.get("seed", "0")),
-        ode_tolerance=float(pairs.get("ode_tolerance", str(DEFAULT_ODE_RTOL))),
-        dw_rate_constant=float(
-            pairs.get("dw_rate_constant", str(DEFAULT_DW_RATE_CONSTANT))
-        ),
+        beta=number("beta"),
+        pruning_epsilon=number("pruning_epsilon", 0.0),
+        seed=number("seed", 0, int),
+        ode_tolerance=number("ode_tolerance", DEFAULT_ODE_RTOL),
+        dw_rate_constant=number("dw_rate_constant", DEFAULT_DW_RATE_CONSTANT),
     )
 
 
@@ -129,11 +134,17 @@ def load_config(path: str) -> RunConfig:
         return parse_config_text(fh.read())
 
 
-def _parse_count(value: str, lineno: int) -> int:
+def _parse(convert, value: str, where: str):
+    """``convert(value)`` (int or float), with a SchemaError naming ``where``."""
     try:
-        count = int(value)
+        return convert(value)
     except ValueError:
-        raise SchemaError(f"line {lineno}: count {value!r} is not an integer") from None
+        kind = "an integer" if convert is int else "a number"
+        raise SchemaError(f"{where} {value!r} is not {kind}") from None
+
+
+def _parse_count(value: str, lineno: int) -> int:
+    count = _parse(int, value, f"line {lineno}: count")
     if count < 0:
         raise ValueError(f"line {lineno}: negative count {count}")
     return count
@@ -164,7 +175,7 @@ def parse_timeline_text(text: str, aggregate: bool = False) -> ObservationTimeli
             continue
         if len(row) != len(header):
             raise SchemaError(f"line {lineno}: expected {len(header)} fields")
-        time = float(row[cols["time"]])
+        time = _parse(float, row[cols["time"]], f"line {lineno}: time")
         label = row[cols["label"]].strip()
         if not label:
             raise SchemaError(f"line {lineno}: empty label")

@@ -107,6 +107,8 @@ def simulate_wf(
     covariance x_j(delta_jk - x_k) dt; paths are clipped at 1e-12 and
     renormalized after every step.
     """
+    if not (0.0 <= t < math.inf and 0.0 < dt < math.inf):
+        raise DomainError(f"need finite t >= 0 and dt > 0, got t={t}, dt={dt}")
     x = np.tile(np.asarray(x0, dtype=float), (n_paths, 1))
     if t == 0.0:
         return x
@@ -144,8 +146,8 @@ def simulate_cir(
     Mixes a Poisson count m ~ Po(z0 * S_t) into Gamma(alpha_j + m, beta+S_t),
     which is the process transition law; no discretization error.
     """
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"t must be finite and > 0, got {t}")
     z0 = np.asarray(z0, dtype=float)
     s = s_t(beta, t)
     m = rng.poisson(z0 * s)

@@ -7,6 +7,9 @@ or reordered parameter would silently change what they compute.
 
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -91,3 +94,14 @@ def test_result_types_and_config_fields():
         "model", "base", "beta", "pruning_epsilon", "seed",
         "ode_tolerance", "dw_rate_constant",
     } <= fields
+
+
+def test_runtime_imports_leave_out_scipy():
+    # numpy is the only runtime dependency; scipy serves the test suite only
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = (
+        "import sys, mvhmm, mvhmm.cli, mvhmm.oracles\n"
+        "assert 'scipy' not in sys.modules, [m for m in sys.modules if 'scipy' in m]"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -407,6 +407,13 @@ class TestPredictCount:
             predict_count_pmf(law, 1e-12, -5)
         assert list(predict_count_pmf(law, 1e-12, 0)) == [0]
 
+    @pytest.mark.parametrize("max_support", [2.5, 2.0, True, "2", np.float64(3.0)])
+    def test_non_integer_support_rejected(self, reg2, flat2, max_support):
+        law = GammaMixtureLaw.prior(flat2, reg2, beta=1.0)
+        with pytest.raises(DomainError):
+            predict_count_pmf(law, 1e-12, max_support)
+        assert list(predict_count_pmf(law, 1e-12, np.int64(2))) == [0, 1, 2]
+
 
 class TestPredictDraw:
     def test_zero_count_empty(self, reg2, flat2):

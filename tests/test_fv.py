@@ -564,6 +564,14 @@ class TestPredictive:
         with pytest.raises(AllWeightsZero):
             predictive_sample(result, 1, np.random.default_rng(0), history)
 
+    @pytest.mark.parametrize("count", [0, -1, 2.5, 2.0, True, "2", np.float64(1.0)])
+    def test_bad_sample_count_rejected(self, reg2, flat2, count):
+        result = smooth(mk_timeline(reg2, (0.0, 0.5), [(1, 0), (1, 1)]), 1, flat2)
+        with pytest.raises(DomainError):
+            predictive_sample(result, count, np.random.default_rng(0))
+        draws = predictive_sample(result, np.int64(2), np.random.default_rng(0))
+        assert len(draws) == 2
+
     def test_theta_to_zero_no_new_mass(self, reg2):
         base = BaseMeasure(1e-8)
         tl = mk_timeline(reg2, (0.0, 0.5), [(1, 0), (1, 1)])

@@ -67,6 +67,29 @@ class TestConfig:
                 "model = fv\ntheta = 1\npruning_epsilon = 0.5\n", env={}
             )
 
+    @pytest.mark.parametrize(
+        "text,match",
+        [
+            ("model = fv\ntheta = abc\n", r"line 2: theta 'abc' is not a number"),
+            (
+                "model = fv\ntheta = 1\nbase = discrete\natom.A = abc\n",
+                r"line 4: atom.A 'abc' is not a number",
+            ),
+            (
+                "model = fv\ntheta = 1\nseed = 1.5\n",
+                r"line 3: seed '1.5' is not an integer",
+            ),
+        ],
+        ids=["theta", "atom", "seed"],
+    )
+    def test_bad_number_names_key_and_line(self, text, match):
+        with pytest.raises(SchemaError, match=match):
+            parse_config_text(text, env={})
+
+    def test_bad_override_names_variable(self):
+        with pytest.raises(SchemaError, match=r"MVHMM_THETA 'x' is not a number"):
+            parse_config_text("model = fv\ntheta = 1\n", env={"MVHMM_THETA": "x"})
+
     def test_comments_ignored(self):
         cfg = parse_config_text(
             "# header\nmodel = fv  # trailing\ntheta = 1\n", env={}
@@ -115,6 +138,10 @@ class TestTimeline:
     def test_negative_count(self):
         with pytest.raises(ValueError):
             parse_timeline_text("time,label,count\n0.0,A,-1\n")
+
+    def test_bad_time_names_line(self):
+        with pytest.raises(SchemaError, match=r"line 3: time 'abc' is not a number"):
+            parse_timeline_text("time,label,count\n0.0,A,1\nabc,A,1\n")
 
     def test_duplicate_without_flag(self):
         text = "time,label,count\n0.0,A,1\n0.0,A,2\n"

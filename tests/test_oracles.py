@@ -65,6 +65,18 @@ class TestSimulateWf:
         with pytest.raises(DomainError):
             simulate_wf((1.0, 1.0), (0.5, 0.5), 0.1, 0.01, rng, 1)
 
+    @pytest.mark.parametrize(
+        "t,dt",
+        [(math.nan, 1e-4), (math.inf, 1e-4), (-1.0, 1e-4), (1.0, 0.0),
+         (1.0, -1e-4), (1.0, math.nan), (1.0, math.inf)],
+    )
+    def test_bad_times_rejected_before_drawing(self, t, dt):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError):
+            simulate_wf((1.0, 1.0), (0.5, 0.5), t, dt, rng, 1)
+        assert rng.bit_generator.state == state
+
     def test_stationary_moments(self):
         # theta = 2 symmetric: stationary law of the first cell is Beta(1,1)
         rng = np.random.default_rng(1)
@@ -95,6 +107,14 @@ class TestSimulateCir:
         z = simulate_cir(alpha, beta, np.full(200_000, 4.0), 60.0 / beta, rng)
         se = z.std(ddof=1) / math.sqrt(z.size)
         assert abs(z.mean() - alpha / beta) <= 3.0 * se
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_time_rejected_before_drawing(self, t):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError):
+            simulate_cir(1.5, 1.0, np.ones(3), t, rng)
+        assert rng.bit_generator.state == state
 
     def test_zero_start_no_jumps(self):
         rng = np.random.default_rng(4)
