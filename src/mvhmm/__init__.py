@@ -30,7 +30,6 @@ from .dw import (
     filter_backward_dw,
     filter_forward_dw,
     filter_posterior_dw,
-    one_step_smoothing_dw,
     predict_count_mean,
     predict_count_pmf,
     predict_draw,
@@ -53,7 +52,6 @@ from .fv import (
     filter_backward,
     filter_forward,
     filter_posterior,
-    one_step_smoothing_weights,
     predictive_pmf,
     predictive_sample,
     propagate_backward,
@@ -97,8 +95,6 @@ __all__ = [
     "load_config",
     "load_timeline",
     "normalize",
-    "one_step_smoothing_dw",
-    "one_step_smoothing_weights",
     "predict_count_mean",
     "predict_count_pmf",
     "predict_draw",

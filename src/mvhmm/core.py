@@ -72,11 +72,6 @@ class MultiIndex:
             raise DomainError("length mismatch in multi-index addition")
         return MultiIndex(a + b for a, b in zip(self.counts, other.counts))
 
-    def __sub__(self, other: "MultiIndex") -> "MultiIndex":
-        if len(other) != len(self):
-            raise DomainError("length mismatch in multi-index subtraction")
-        return MultiIndex(a - b for a, b in zip(self.counts, other.counts))
-
     def __le__(self, other: "MultiIndex") -> bool:
         return len(self) == len(other) and all(
             a <= b for a, b in zip(self.counts, other.counts)

@@ -27,7 +27,6 @@ from .core import (
     GammaMixtureLaw,
     MultiIndex,
     ObservationTimeline,
-    TypeRegistry,
     logsumexp_1d,
 )
 from .dual import (
@@ -44,7 +43,6 @@ from .fv import (
     _filter,
     _fresh_label,
     _idle_atoms,
-    _one_step_pairs,
     _PairDecomposition,
     _Pairs,
     _rescored,
@@ -62,7 +60,6 @@ __all__ = [
     "filter_forward_dw",
     "filter_backward_dw",
     "filter_posterior_dw",
-    "one_step_smoothing_dw",
     "smooth_dw",
     "predict_count_pmf",
     "predict_count_mean",
@@ -209,49 +206,6 @@ def _gamma_pair_term(n_now, a_past, c_now, a_future, theta, beta):
     return term
 
 
-def one_step_smoothing_dw(
-    n_past: MultiIndex,
-    n_now: MultiIndex,
-    n_future: MultiIndex,
-    d_past: float,
-    d_future: float,
-    cardinalities: tuple[int, int, int],
-    base: BaseMeasure,
-    beta: float,
-    registry: TypeRegistry | None = None,
-    kappa: float = DEFAULT_DW_RATE_CONSTANT,
-) -> GammaMixtureLaw:
-    """Smoothing law for a query flanked by single draw blocks.
-
-    Components sit at k + n_now + k' with the common rate offset
-    C(d_past) + c_now + C(d_future); weights multiply the two thinning
-    transition probabilities, the total-count marginal ratio, and the
-    type-allocation case term shared with the Dirichlet engine.
-    """
-    c_past, c_now, c_future = cardinalities
-    theta = base.theta
-    a_past = c_flow(beta, float(c_past), d_past)
-    a_future = c_flow(beta, float(c_future), d_future)
-    spec_past = DwDualSpec(theta, beta, float(c_past), kappa)
-    spec_future = DwDualSpec(theta, beta, float(c_future), kappa)
-    pairs = _one_step_pairs(
-        n_past,
-        n_now,
-        n_future,
-        base,
-        registry,
-        lambda m, k: _dw_typed_log_probs(spec_past, m, k, d_past),
-        lambda m, k: _dw_typed_log_probs(spec_future, m, k, d_future),
-        _gamma_pair_term(n_now, a_past, float(c_now), a_future, theta, beta),
-    )
-    reg = registry if registry is not None else TypeRegistry(
-        tuple(f"y{j}" for j in range(len(n_now)))
-    )
-    return GammaMixtureLaw.prior(base, reg, beta)._renewed(
-        pairs.log_weights, pairs.indices(n_now), rate_offset=a_past + c_now + a_future
-    )
-
-
 def smooth_dw(
     timeline: ObservationTimeline,
     i: int,
@@ -304,12 +258,16 @@ def predict_count_pmf(
     b_total = law.beta + law.rate_offset
     p = 1.0 / (1.0 + b_total)
     theta = law.base.theta
-    comps = [(math.exp(lw), theta + sum(m)) for lw, m in law._rows()]
-    r_max = max(r for _, r in comps)
+    log_weights, indices = law._arrays
+    weights = np.array([math.exp(lw) for lw in log_weights.tolist()])
+    totals = indices.sum(axis=1)
+    top = int(totals.max())
+    r_max = theta + top
     out: dict[int, float] = {}
     n = 0
     while n <= max_support:
-        out[n] = sum(w * math.exp(log_neg_bin_pmf(n, r, p)) for w, r in comps)
+        pmf = _table(lambda v: math.exp(log_neg_bin_pmf(n, theta + v, p)), top)
+        out[n] = sum((weights * pmf[totals]).tolist())
         ratio = p * (r_max + n + 1) / (n + 2)
         if ratio < 1.0 and out[n] * ratio / (1.0 - ratio) < tail:
             break

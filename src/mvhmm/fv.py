@@ -21,13 +21,15 @@ urn below serve both models: the branching engine (dw.py) passes in its own
 update, propagation and total-count pair term.
 
 Mixtures enter these kernels as a log-weight vector and an index-row matrix.
-The lattice spread builds every lattice point at once and gathers transition
-log-probabilities from tables; the pair combination scores all forward x
-backward pairs by broadcasting.  Each scalar term is evaluated once per
-distinct argument by the scalar function that defines it and then gathered,
-keeping the order of additions of the per-pair formulas below, so the
-weights are the same floats those formulas give.  Smoothing results hold
-their pairs as arrays and build ``pair_log_weights`` on first access.
+The update and the discrete case term score index rows from per-column tables
+of the observation score's terms; the lattice spread builds every lattice
+point at once and gathers transition log-probabilities from tables; the pair
+combination scores all forward x backward pairs by broadcasting.  Each
+scalar term is evaluated once per distinct argument by the scalar function
+that defines it and then gathered, keeping the order of additions of the
+per-component and per-pair formulas below, so the weights are the same
+floats those formulas give.  Smoothing results hold their pairs as arrays
+and build ``pair_log_weights`` on first access.
 
 The ``rtol`` parameters are kept for callers that pass them by position and
 have no effect: the totals transition tables have no tolerance to set (see
@@ -53,7 +55,6 @@ from .core import (
     _MixtureBase,
     _at_least,
     _normalized,
-    _row_codes,
     logsumexp_1d,
 )
 from .dual import DEFAULT_ODE_RTOL, FvDualSpec, _fv_typed_log_probs
@@ -70,7 +71,6 @@ __all__ = [
     "filter_forward",
     "filter_backward",
     "filter_posterior",
-    "one_step_smoothing_weights",
     "smooth",
     "predictive_pmf",
     "predictive_sample",
@@ -89,8 +89,26 @@ NEW_LABEL = "<new>"
 # ---------------------------------------------------------------------------
 
 
-def _carriers(law: DirichletMixtureLaw) -> tuple[bool, ...]:
-    return tuple((law._arrays[1] > 0).any(axis=0).tolist())
+def _score_term(j, mj, nj, nonatomic: bool, alpha_vec, carriers) -> float:
+    """Type j's term of observation_log_score: count ``nj`` of type j under
+    a component holding ``mj`` of it (0.0 when ``nj`` is 0)."""
+    if nj == 0:
+        return 0.0
+    if not nonatomic:
+        aj = alpha_vec[j] + mj
+        if aj <= 0.0:
+            raise DomainError(f"nonpositive parameter {aj} at a positive count")
+        return math.lgamma(aj + nj) - math.lgamma(aj)
+    if mj > 0:
+        return math.lgamma(mj + nj) - math.lgamma(mj)
+    return -math.inf if carriers[j] else math.lgamma(nj)
+
+
+def _total_term(theta_eff: float, n_total: int) -> float:
+    """The total-mass term of observation_log_score."""
+    if theta_eff <= 0.0:
+        raise DomainError(f"nonpositive total mass {theta_eff}")
+    return math.lgamma(theta_eff) - math.lgamma(theta_eff + n_total)
 
 
 def observation_log_score(
@@ -110,24 +128,30 @@ def observation_log_score(
     types fresh to the whole mixture contribute a factor common to all
     components.
     """
+    if not len(m) == len(n) == len(alpha_vec):
+        raise DomainError("count and parameter vectors differ in length")
     if theta_eff is None:
         theta_eff = base.theta + m.total
-    if not base.is_nonatomic:
-        shifted = [a + mj for a, mj in zip(alpha_vec, m)]
-        return log_dir_cat(n.counts, shifted, total=theta_eff)
     out = 0.0
-    for j, nj in enumerate(n):
-        if nj == 0:
-            continue
-        mj = m[j]
-        if mj > 0:
-            out += math.lgamma(mj + nj) - math.lgamma(mj)
-        elif carriers[j]:
-            return -math.inf
-        else:
-            out += math.lgamma(nj)
-    out += math.lgamma(theta_eff) - math.lgamma(theta_eff + n.total)
-    return out
+    for j, (mj, nj) in enumerate(zip(m, n)):
+        out += _score_term(j, mj, nj, base.is_nonatomic, alpha_vec, carriers)
+    return out + _total_term(theta_eff, n.total)
+
+
+def _table(fn, top: int) -> np.ndarray:
+    """``fn(v)`` for v = 0..top, one call each."""
+    return np.array([fn(v) for v in range(top + 1)], dtype=float)
+
+
+def _row_scores(rows: np.ndarray, term, total_term) -> np.ndarray:
+    """For every row r of ``rows``: ``term(j, rows[r, j])`` summed over the
+    columns j from 0.0, plus ``total_term(sum(rows[r]))``.  Each term is
+    evaluated once per value up to its column's largest and gathered."""
+    out = np.zeros(len(rows))
+    for j, col in enumerate(rows.T):
+        out = out + _table(functools.partial(term, j), int(col.max()))[col]
+    totals = rows.sum(axis=1)
+    return out + _table(total_term, int(totals.max()))[totals]
 
 
 def _rescored(law: _MixtureBase, n: MultiIndex, log_extra=None):
@@ -137,20 +161,22 @@ def _rescored(law: _MixtureBase, n: MultiIndex, log_extra=None):
     Indices shift by n; log-weights gain ``log_extra(theta + |m|)``, if
     given, and the observation score.  Components the score rules out drop.
     """
-    alpha_vec = law.base.alpha_vector(law.registry)
-    carriers = _carriers(law)
-    kept, log_weights = [], []
-    for row, (lw, m) in enumerate(law._rows()):
-        theta_eff = law.base.theta + sum(m)
-        score = observation_log_score(m, n, law.base, alpha_vec, carriers, theta_eff)
-        if score == -math.inf:
-            continue
-        if log_extra is not None:
-            lw += log_extra(theta_eff)
-        kept.append(row)
-        log_weights.append(lw + score)
-    indices = law._arrays[1][kept] + np.array(n.counts, dtype=np.int64)
-    return np.array(log_weights, dtype=float), indices
+    base = law.base
+    alpha_vec = base.alpha_vector(law.registry)
+    log_weights, indices = law._arrays
+    nonatomic, carriers = base.is_nonatomic, (indices > 0).any(axis=0).tolist()
+    scores = _row_scores(
+        indices,
+        lambda j, mj: _score_term(j, mj, n[j], nonatomic, alpha_vec, carriers),
+        lambda total: _total_term(base.theta + total, n.total),
+    )
+    if log_extra is not None:
+        totals = indices.sum(axis=1)
+        extra = _table(lambda total: log_extra(base.theta + total), int(totals.max()))
+        log_weights = log_weights + extra[totals]
+    keep = scores != -math.inf
+    shifted = indices[keep] + np.array(n.counts, dtype=np.int64)
+    return log_weights[keep] + scores[keep], shifted
 
 
 def update_dirichlet(law: DirichletMixtureLaw, n: MultiIndex) -> DirichletMixtureLaw:
@@ -430,11 +456,6 @@ class _Pairs:
         }
 
 
-def _table(fn, top: int) -> np.ndarray:
-    """``fn(v)`` for v = 0..top, one call each."""
-    return np.array([fn(v) for v in range(top + 1)], dtype=float)
-
-
 def _sharing_degrees(a: np.ndarray, n: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sharing_degree of every pair (row of a, row of b), as an |a| x |b| grid."""
     degrees = 0
@@ -468,20 +489,18 @@ def _nonatomic_coefficients(a, n, b, theta: float) -> np.ndarray:
 
 def _discrete_case_terms(a, n, b, alpha_vec, theta: float) -> np.ndarray:
     """discrete_case_log of every pair (row of a, row of b), with the same
-    floats: log_dir_cat is evaluated once per row and once per distinct
-    summed index k + n + k'."""
+    floats: log_dir_cat(r) is _score_term(j, 0, r_j) summed over the types
+    plus _total_term(theta, |r|), each gathered from a table per column."""
 
     def log_dir_cats(rows: np.ndarray) -> np.ndarray:
-        return np.array(
-            [log_dir_cat(r, alpha_vec, total=theta) for r in rows.tolist()],
-            dtype=float,
+        return _row_scores(
+            rows,
+            lambda j, rj: _score_term(j, 0, rj, False, alpha_vec, None),
+            lambda total: _total_term(theta, total),
         )
 
     sums = (a[:, None, :] + n + b[None, :, :]).reshape(len(a) * len(b), len(n))
-    _, first, inverse = np.unique(
-        _row_codes(sums), return_index=True, return_inverse=True
-    )
-    at_sums = log_dir_cats(sums[first])[inverse].reshape(len(a), len(b))
+    at_sums = log_dir_cats(sums).reshape(len(a), len(b))
     at_now = log_dir_cat(n.tolist(), alpha_vec, total=theta)
     return ((at_sums - log_dir_cats(a)[:, None]) - at_now) - log_dir_cats(b)[None, :]
 
@@ -561,68 +580,6 @@ def _result_from_pairs(
         positions, log_weights = positions[keep], _normalized(log_weights[keep])
     pairs = replace(pairs, positions=positions, log_weights=log_weights)
     return pairs, law._renewed(log_weights, pairs.indices(n_now), **changes)
-
-
-def _one_step_pairs(
-    n_past, n_now, n_future, base, registry, log_prob_past, log_prob_future, extra=None
-) -> _Pairs:
-    """Unnormalized pair log-weights for a query flanked by single blocks:
-    the pair combination of the two blocks spread with their transition
-    log-probabilities ``log_prob_past(m, k)`` and ``log_prob_future(m, k')``
-    over index rows.
-    """
-    k_size = len(n_now)
-    if len(n_past) != k_size or len(n_future) != k_size:
-        raise DomainError("count vectors must share one registry")
-    if base.is_nonatomic:
-        alpha_vec = (0.0,) * k_size
-    elif registry is None or registry.k != k_size:
-        raise DomainError("discrete base measure requires a matching registry")
-    else:
-        alpha_vec = base.alpha_vector(registry)
-
-    def block(n, log_prob):
-        return _spread(np.zeros(1), np.array([n.counts], dtype=np.int64), log_prob)
-
-    return _combine_pairs(
-        block(n_past, log_prob_past),
-        block(n_future, log_prob_future),
-        n_now,
-        base,
-        alpha_vec,
-        extra,
-    )
-
-
-def one_step_smoothing_weights(
-    n_past: MultiIndex,
-    n_now: MultiIndex,
-    n_future: MultiIndex,
-    d_past: float,
-    d_future: float,
-    base: BaseMeasure,
-    registry: TypeRegistry | None = None,
-    rtol: float = DEFAULT_ODE_RTOL,
-) -> dict[tuple[MultiIndex, MultiIndex], float]:
-    """Normalized log-weights over retained-multiplicity pairs for a query
-    flanked by single observation blocks at lags d_past and d_future.
-
-    The weight of (k, k') is the product of the two death-chain transition
-    probabilities times the base-measure case term; under a nonatomic base
-    measure the support is restricted to pairs keeping every shared type.
-    A discrete base measure needs the registry to resolve its atom masses.
-    """
-    spec = FvDualSpec(base.theta)
-    pairs = _one_step_pairs(
-        n_past,
-        n_now,
-        n_future,
-        base,
-        registry,
-        lambda m, k: _fv_typed_log_probs(spec, m, k, d_past),
-        lambda m, k: _fv_typed_log_probs(spec, m, k, d_future),
-    )
-    return replace(pairs, log_weights=_normalized(pairs.log_weights)).as_dict()
 
 
 def smooth(

@@ -117,13 +117,16 @@ def parse_config_text(text: str, env: dict[str, str] | None = None) -> RunConfig
         base = BaseMeasure(theta, atoms)
     else:
         raise SchemaError(f"base must be 'nonatomic' or 'discrete', got {kind!r}")
+    seed = number("seed", 0, int)
+    if seed < 0:
+        raise SchemaError(f"{where['seed']} {pairs['seed']!r} is negative")
     return RunConfig(
         model=pairs["model"].lower(),
         theta=theta,
         base=base,
         beta=number("beta"),
         pruning_epsilon=number("pruning_epsilon", 0.0),
-        seed=number("seed", 0, int),
+        seed=seed,
         ode_tolerance=number("ode_tolerance", DEFAULT_ODE_RTOL),
         dw_rate_constant=number("dw_rate_constant", DEFAULT_DW_RATE_CONSTANT),
     )

@@ -8,6 +8,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from helpers import random_dataset
 from mvhmm.core import (
@@ -259,6 +260,7 @@ def test_criterion_05_shared_support_example():
     )
 
 
+@pytest.mark.slow
 def test_criterion_06_duality_identities():
     start = time.perf_counter()
     reports = run_duality_suite(seed=2024, replicates=10**5)
@@ -290,6 +292,7 @@ def test_criterion_07_dual_rate_calibration():
     )
 
 
+@pytest.mark.slow
 def test_criterion_08_particle_cross_validation():
     start = time.perf_counter()
     reports = run_particle_suite(seed=12, particles=10**5)
@@ -304,6 +307,7 @@ def test_criterion_08_particle_cross_validation():
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_predictive_consistency():
     start = time.perf_counter()
     rng = np.random.default_rng(99)

@@ -71,9 +71,32 @@ def test_positional_signature(owner, name, params):
     assert tuple(inspect.signature(getattr(owner, name)).parameters) == params
 
 
+PUBLIC = {
+    "AllWeightsZero", "BaseMeasure", "DegeneracyError", "DirichletMixtureLaw",
+    "DomainError", "DwDualSpec", "DwSmoothingResult", "FvDualSpec",
+    "FvSmoothingResult", "GammaMixtureLaw", "MultiIndex", "MvhmmError",
+    "ObservationTimeline", "OrderError", "RunConfig", "SchemaError",
+    "SharedAtomSets", "TotalsTransitionTable", "TypeRegistry", "c_flow",
+    "dw_survival_prob", "filter_backward", "filter_backward_dw", "filter_forward",
+    "filter_forward_dw", "filter_posterior", "filter_posterior_dw",
+    "fv_totals_transition", "load_config", "load_timeline", "normalize",
+    "predict_count_mean", "predict_count_pmf", "predict_draw",
+    "predictive_label_pmf", "predictive_pmf", "predictive_sample",
+    "propagate_backward", "propagate_dw", "propagate_forward", "s_t",
+    "serialize_timeline", "smooth", "smooth_dw", "update_dirichlet",
+    "update_gamma",
+}
+
+
 def test_public_names_import():
     for name in mvhmm.__all__:
         assert getattr(mvhmm, name) is not None
+
+
+def test_public_names_pinned():
+    # a public name may not vanish or appear without this set changing too
+    assert len(mvhmm.__all__) == len(PUBLIC)
+    assert set(mvhmm.__all__) == PUBLIC
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,6 @@ from mvhmm.dw import (
     filter_backward_dw,
     filter_forward_dw,
     filter_posterior_dw,
-    one_step_smoothing_dw,
     predict_count_mean,
     predict_count_pmf,
     predict_draw,
@@ -163,20 +162,25 @@ class TestPropagateDw:
         assert prop.weights()[MultiIndex((2, 1))] > 1.0 - 1e-4
 
 
+def one_step_dw(reg, blocks, cardinalities, d_past, d_future, base, beta):
+    """smooth_dw at the middle of the three-time timeline (0, d_past,
+    d_past + d_future) whose c draws at a time are the block's total counts
+    followed by c - 1 zero draws."""
+    zero = (0,) * reg.k
+    draws = [
+        [n, *[zero] * (c - 1)] if c else []
+        for n, c in zip(blocks, cardinalities)
+    ]
+    tl = mk_dw_timeline(reg, (0.0, d_past, d_past + d_future), draws)
+    return smooth_dw(tl, 1, base, beta)
+
+
 class TestOneStepDw:
     def test_pure_update_when_isolated(self, reg2, flat2):
-        beta = 1.0
-        law = one_step_smoothing_dw(
-            MultiIndex((0, 0)),
-            MultiIndex((2, 1)),
-            MultiIndex((0, 0)),
-            0.5,
-            0.5,
-            (0, 1, 0),
-            flat2,
-            beta,
-            reg2,
+        result = one_step_dw(
+            reg2, ((0, 0), (2, 1), (0, 0)), (0, 1, 0), 0.5, 0.5, flat2, 1.0
         )
+        law = result.law
         assert len(law) == 1
         assert law.components[0][1] == MultiIndex((2, 1))
         assert law.rate_offset == pytest.approx(1.0, abs=1e-14)
@@ -185,50 +189,11 @@ class TestOneStepDw:
         beta = 0.7
         d1, d2 = 0.4, 0.9
         cards = (2, 1, 3)
-        law = one_step_smoothing_dw(
-            MultiIndex((1, 0)),
-            MultiIndex((0, 1)),
-            MultiIndex((1, 1)),
-            d1,
-            d2,
-            cards,
-            flat2,
-            beta,
-            reg2,
+        result = one_step_dw(
+            reg2, ((1, 0), (0, 1), (1, 1)), cards, d1, d2, flat2, beta
         )
         expected = c_flow(beta, 2.0, d1) + 1.0 + c_flow(beta, 3.0, d2)
-        assert law.rate_offset == pytest.approx(expected, abs=1e-13)
-
-    def test_matches_three_time_smooth(self, reg2, flat2):
-        beta = 1.1
-        tl = mk_dw_timeline(
-            reg2,
-            (0.0, 0.4, 1.0),
-            [
-                [(1, 0), (1, 0)],
-                [(0, 1)],
-                [(1, 1)],
-            ],
-        )
-        result = smooth_dw(tl, 1, flat2, beta)
-        direct = one_step_smoothing_dw(
-            MultiIndex((2, 0)),
-            MultiIndex((0, 1)),
-            MultiIndex((1, 1)),
-            0.4,
-            0.6,
-            (2, 1, 1),
-            flat2,
-            beta,
-            reg2,
-        )
-        assert direct.rate_offset == pytest.approx(
-            result.law.rate_offset, abs=1e-13
-        )
-        w1, w2 = direct.log_weights(), result.law.log_weights()
-        assert set(w1) == set(w2)
-        for key, lw in w1.items():
-            assert lw == pytest.approx(w2[key], abs=1e-10)
+        assert result.law.rate_offset == pytest.approx(expected, abs=1e-13)
 
 
 class TestSmoothDw:

@@ -24,7 +24,7 @@ from mvhmm.fv import (
     filter_forward,
     filter_posterior,
     nonatomic_log_coefficient,
-    one_step_smoothing_weights,
+    observation_log_score,
     predictive_pmf,
     predictive_sample,
     propagate_backward,
@@ -33,6 +33,7 @@ from mvhmm.fv import (
     smooth,
     update_dirichlet,
 )
+from mvhmm.specfun import log_dir_cat
 
 
 @pytest.fixture
@@ -53,6 +54,35 @@ def mk_timeline(reg, times, counts):
 
 
 class TestUpdate:
+    def test_observation_score_is_log_dir_cat(self, reg2, flat2):
+        alpha, carriers = flat2.alpha_vector(reg2), (True, False)
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            m, n = (MultiIndex(rng.integers(0, 5, size=2)) for _ in range(2))
+            shifted = [a + mj for a, mj in zip(alpha, m)]
+            expected = log_dir_cat(n.counts, shifted, total=flat2.theta + m.total)
+            assert observation_log_score(m, n, flat2, alpha, carriers) == expected
+        # a zero parameter is allowed at a zero count, as in log_dir_cat
+        m, n = MultiIndex((1, 0)), MultiIndex((2, 0))
+        score = observation_log_score(m, n, flat2, (1.0, 0.0), carriers)
+        assert score == log_dir_cat((2, 0), (2.0, 0.0), total=3.0)
+
+    @pytest.mark.parametrize(
+        "m,n,alpha,theta_eff",
+        [
+            ((1, 0), (1, 1, 1), (1.0, 1.0), None),  # count length
+            ((1, 0, 0), (1, 1), (1.0, 1.0), None),  # index length
+            ((1, 0), (1, 1), (1.0,), None),  # parameter length
+            ((0, 0), (2, 1), (0.0, 1.0), None),  # zero parameter, positive count
+            ((1, 0), (2, 1), (1.0, 1.0), 0.0),  # nonpositive total mass
+        ],
+        ids=["count-length", "index-length", "alpha-length", "alpha-zero", "mass"],
+    )
+    def test_observation_score_rejects(self, flat2, m, n, alpha, theta_eff):
+        m, n = MultiIndex(m), MultiIndex(n)
+        with pytest.raises(DomainError):
+            observation_log_score(m, n, flat2, alpha, (True, False), theta_eff)
+
     def test_single_component_conjugate(self, reg2, flat2):
         law = DirichletMixtureLaw.prior(flat2, reg2)
         out = update_dirichlet(law, MultiIndex((2, 1)))
@@ -207,17 +237,17 @@ class TestFilter:
         assert len(law) == 1
 
 
+def one_step(reg, n_past, n_now, n_future, d_past, d_future, base):
+    """Pair log-weights of a query flanked by single blocks at lags d_past
+    and d_future: smooth at the middle of the three-time timeline."""
+    times = (0.0, d_past, d_past + d_future)
+    tl = mk_timeline(reg, times, [n_past, n_now, n_future])
+    return smooth(tl, 1, base).pair_log_weights
+
+
 class TestOneStep:
     def test_no_adjacent_data(self, reg2, flat2):
-        weights = one_step_smoothing_weights(
-            MultiIndex((0, 0)),
-            MultiIndex((2, 1)),
-            MultiIndex((0, 0)),
-            0.5,
-            0.5,
-            flat2,
-            reg2,
-        )
+        weights = one_step(reg2, (0, 0), (2, 1), (0, 0), 0.5, 0.5, flat2)
         assert set(weights) == {(MultiIndex((0, 0)), MultiIndex((0, 0)))}
         assert next(iter(weights.values())) == pytest.approx(0.0, abs=1e-12)
 
@@ -232,9 +262,7 @@ class TestOneStep:
         shared = SharedAtomSets.from_counts(n_past, n_now, n_future)
         assert shared.d_past == frozenset({1})
         assert shared.d_future == frozenset({1, 2})
-        weights = one_step_smoothing_weights(
-            n_past, n_now, n_future, 0.4, 0.6, base, reg
-        )
+        weights = one_step(reg, n_past, n_now, n_future, 0.4, 0.6, base)
         expected_pairs = {
             (k, kp)
             for k in n_past.lattice_below()
@@ -254,15 +282,7 @@ class TestOneStep:
             MultiIndex((1, 0)), MultiIndex((0, 0)), MultiIndex((0, 1)), 1.0
         )
         assert math.exp(coeff) == pytest.approx(0.5, abs=1e-12)
-        weights = one_step_smoothing_weights(
-            MultiIndex((1, 0)),
-            MultiIndex((0, 0)),
-            MultiIndex((0, 1)),
-            0.5,
-            0.5,
-            base,
-            reg,
-        )
+        weights = one_step(reg, (1, 0), (0, 0), (0, 1), 0.5, 0.5, base)
         p11 = math.exp(-0.5 * 0.5)
         raw = {
             (0, 0): (1 - p11) * (1 - p11),
@@ -271,6 +291,7 @@ class TestOneStep:
             (1, 1): p11 * p11 * 0.5,
         }
         z = sum(raw.values())
+        assert len(weights) == len(raw)
         for (kk, kpkp), expected in raw.items():
             pair = (MultiIndex((kk, 0)), MultiIndex((0, kpkp)))
             assert math.exp(weights[pair]) == pytest.approx(expected / z, abs=1e-10)
@@ -278,44 +299,15 @@ class TestOneStep:
     def test_discrete_epsilon_limit_recovers_nonatomic(self):
         # case A with vanishing atom mass converges to the nonatomic weights
         reg = TypeRegistry(("y1", "y2"))
-        n_past, n_now, n_future = (
-            MultiIndex((1, 0)),
-            MultiIndex((0, 0)),
-            MultiIndex((0, 1)),
-        )
-        target = one_step_smoothing_weights(
-            n_past, n_now, n_future, 0.5, 0.5, BaseMeasure(1.0), reg
-        )
+        blocks = ((1, 0), (0, 0), (0, 1))
+        target = one_step(reg, *blocks, 0.5, 0.5, BaseMeasure(1.0))
         for eps, tol in ((1e-4, 1e-3), (1e-6, 1e-5)):
             base = BaseMeasure(1.0, {"y1": eps, "y2": eps})
-            approx = one_step_smoothing_weights(
-                n_past, n_now, n_future, 0.5, 0.5, base, reg
-            )
+            approx = one_step(reg, *blocks, 0.5, 0.5, base)
             for pair, lw in target.items():
                 assert math.exp(approx[pair]) == pytest.approx(
                     math.exp(lw), abs=tol
                 )
-
-    def test_matches_three_time_smooth(self, reg2, flat2):
-        tl = mk_timeline(reg2, (0.0, 0.4, 1.0), [(2, 0), (1, 1), (0, 2)])
-        result = smooth(tl, 1, flat2)
-        direct = one_step_smoothing_weights(
-            tl.fv_counts[0], tl.fv_counts[1], tl.fv_counts[2], 0.4, 0.6, flat2, reg2
-        )
-        assert set(direct) == set(result.pair_log_weights)
-        for pair, lw in direct.items():
-            assert result.pair_log_weights[pair] == pytest.approx(lw, abs=1e-10)
-
-    def test_matches_three_time_smooth_nonatomic(self, reg2):
-        base = BaseMeasure(1.3)
-        tl = mk_timeline(reg2, (0.0, 0.4, 1.0), [(2, 0), (1, 1), (0, 2)])
-        result = smooth(tl, 1, base)
-        direct = one_step_smoothing_weights(
-            tl.fv_counts[0], tl.fv_counts[1], tl.fv_counts[2], 0.4, 0.6, base, reg2
-        )
-        assert set(direct) == set(result.pair_log_weights)
-        for pair, lw in direct.items():
-            assert result.pair_log_weights[pair] == pytest.approx(lw, abs=1e-10)
 
 
 class TestSmooth:

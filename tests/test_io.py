@@ -79,8 +79,12 @@ class TestConfig:
                 "model = fv\ntheta = 1\nseed = 1.5\n",
                 r"line 3: seed '1.5' is not an integer",
             ),
+            (
+                "model = fv\ntheta = 1\nseed = -3\n",
+                r"line 3: seed '-3' is negative",
+            ),
         ],
-        ids=["theta", "atom", "seed"],
+        ids=["theta", "atom", "seed", "negative-seed"],
     )
     def test_bad_number_names_key_and_line(self, text, match):
         with pytest.raises(SchemaError, match=match):
@@ -89,6 +93,8 @@ class TestConfig:
     def test_bad_override_names_variable(self):
         with pytest.raises(SchemaError, match=r"MVHMM_THETA 'x' is not a number"):
             parse_config_text("model = fv\ntheta = 1\n", env={"MVHMM_THETA": "x"})
+        with pytest.raises(SchemaError, match=r"MVHMM_SEED '-1' is negative"):
+            parse_config_text("model = fv\ntheta = 1\n", env={"MVHMM_SEED": "-1"})
 
     def test_comments_ignored(self):
         cfg = parse_config_text(

@@ -13,12 +13,9 @@ import pytest
 
 from helpers import (
     random_dataset,
-    reference_combine_pairs,
     reference_filter,
-    reference_normalized,
     reference_propagate,
     reference_smooth,
-    reference_spread,
 )
 from mvhmm.core import (
     BaseMeasure,
@@ -29,13 +26,7 @@ from mvhmm.core import (
 )
 from mvhmm.dual import FvDualSpec, fv_totals_transition, fv_typed_log_prob
 from mvhmm.dw import filter_backward_dw, filter_forward_dw, smooth_dw
-from mvhmm.fv import (
-    filter_backward,
-    filter_forward,
-    one_step_smoothing_weights,
-    propagate_forward,
-    smooth,
-)
+from mvhmm.fv import filter_backward, filter_forward, propagate_forward, smooth
 
 
 def _criterion_02_datasets(mode, kind):
@@ -86,41 +77,6 @@ def test_kernels_equal_scalar_loops(mode, kind):
                 assert getattr(result.law, "rate_offset", None) == getattr(
                     ref_law, "rate_offset", None
                 )
-
-
-@pytest.mark.parametrize("kind", ["discrete", "nonatomic"])
-def test_one_step_weights_equal_scalar_loops(kind):
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        k = int(rng.integers(1, 4))
-        registry = TypeRegistry(tuple(f"y{j}" for j in range(k)))
-        n_past, n_now, n_future = (
-            MultiIndex(rng.integers(0, 4, size=k)) for _ in range(3)
-        )
-        theta = float(rng.uniform(0.5, 3.0))
-        if kind == "discrete":
-            probs = rng.dirichlet(np.ones(k + 1))
-            base = BaseMeasure(theta, dict(zip(registry.labels, probs.tolist())))
-        else:
-            base = BaseMeasure(theta)
-        spec = FvDualSpec(theta)
-
-        def block(n, dt):
-            return reference_spread(
-                ((0.0, n),), lambda m, kk: fv_typed_log_prob(spec, m, kk, dt)
-            )
-
-        raw = reference_combine_pairs(
-            block(n_past, 0.3),
-            block(n_future, 0.7),
-            n_now,
-            base,
-            base.alpha_vector(registry),
-        )
-        weights = one_step_smoothing_weights(
-            n_past, n_now, n_future, 0.3, 0.7, base, registry
-        )
-        assert list(weights.items()) == list(reference_normalized(raw).items())
 
 
 def test_long_gap_propagation_drops_underflowed_moves():

@@ -77,6 +77,7 @@ class TestSimulateWf:
             simulate_wf((1.0, 1.0), (0.5, 0.5), t, dt, rng, 1)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.slow
     def test_stationary_moments(self):
         # theta = 2 symmetric: stationary law of the first cell is Beta(1,1)
         rng = np.random.default_rng(1)
