@@ -9,9 +9,9 @@ Smoothing weights combine the thinning transition probabilities with a
 total-count marginal ratio and the per-type allocation case term; the filter
 loop, pair combination, pruning and urn are the Dirichlet engine's (fv.py).
 
-Prediction is two-stage: the size of a further draw is a mixture of negative
-binomials, and given the size the elements follow an urn mixture whose pair
-weights are reweighted by the size likelihood and the elements drawn so far.
+A further draw mixes over components: given one, the size is negative
+binomial and, independently, the elements follow its Polya urn.  The pmfs
+mix the components; the sampler picks one and runs the Dirichlet engine's urn.
 """
 
 from __future__ import annotations
@@ -41,14 +41,13 @@ from .fv import (
     _check_size,
     _combine_pairs,
     _filter,
-    _fresh_label,
-    _idle_atoms,
     _PairDecomposition,
     _Pairs,
     _rescored,
     _result_from_pairs,
     _spread,
     _table,
+    _urn_draws,
     _urn_pmf,
 )
 from .specfun import log_gamma_marginal, log_neg_bin_pmf
@@ -306,17 +305,28 @@ class _DrawTables:
     """Static arrays backing the further-draw sampler of one mixture law."""
 
     def __init__(self, law: GammaMixtureLaw):
-        self.theta = theta = law.base.theta
+        self.theta = law.base.theta
         self.b_total = law.beta + law.rate_offset
         self.p = 1.0 / (1.0 + self.b_total)
-        self.log_w, indices = law._arrays
-        self.m_mat = indices.astype(float)
-        self.totals = indices.sum(axis=1)
-        self.theta_eff = theta + self.totals
-        self.alpha_vec = np.array(law.base.alpha_vector(law.registry))
-        self.new_mass = theta * law.base.unseen_mass
-        probs = np.exp(self.log_w - logsumexp_1d(self.log_w))
-        self.comp_cum = np.cumsum(probs)
+        self.log_w, self.indices = law._arrays
+        self.totals = self.indices.sum(axis=1)
+        self.comp_cum = _cum_weights(self.log_w)
+
+    def pick(self, rng: np.random.Generator, m_count: int | None = None) -> int:
+        """A component drawn by its weight, times NB(m_count; theta + |m|, p)
+        if ``m_count`` is given."""
+        cum = self.comp_cum
+        if m_count is not None:
+            nb = _table(
+                lambda v: log_neg_bin_pmf(m_count, self.theta + v, self.p),
+                int(self.totals.max()),
+            )
+            cum = _cum_weights(self.log_w + nb[self.totals])
+        return min(int(np.searchsorted(cum, rng.random(), side="right")), len(cum) - 1)
+
+
+def _cum_weights(lam: np.ndarray) -> np.ndarray:
+    return np.cumsum(np.exp(lam - logsumexp_1d(lam)))
 
 
 def predict_draw(
@@ -324,62 +334,23 @@ def predict_draw(
     rng: np.random.Generator,
     m_count: int | None = None,
 ) -> tuple[int, list[str]]:
-    """Sample one further draw: its size, then its elements sequentially.
+    """Sample one further draw: a mixture component, its size, its elements.
 
-    The size comes from the negative binomial mixture (sampled exactly via
-    its gamma-Poisson representation); each element is then drawn from the
-    urn mixture with component weights reweighted by the size likelihood and
-    the elements sampled so far.
+    Given the component at m, the size is negative binomial, sampled exactly
+    as Poisson(z) with z ~ Gamma(theta + |m|, rate beta + rate offset), and
+    independent of the elements, which follow the component's Polya urn.  A
+    given ``m_count`` reweights the pick by its likelihood; 0 returns at once
+    and takes no random numbers.
     """
-    registry = law.registry
     t = _cached_tables(law, _DrawTables)
-    theta_eff = t.theta_eff
     if m_count is None:
-        pick = int(np.searchsorted(t.comp_cum, rng.random(), side="right"))
-        pick = min(pick, len(t.comp_cum) - 1)
-        z = rng.gamma(theta_eff[pick], 1.0 / t.b_total)
+        pick = t.pick(rng)
+        z = rng.gamma(t.theta + t.totals[pick], 1.0 / t.b_total)
         m_count = int(rng.poisson(z))
     else:
         _check_size("draw size", m_count)
-    new_mass = t.new_mass
-    # component log-posteriors given the draw size, updated per element
-    size_term = _table(
-        lambda v: log_neg_bin_pmf(m_count, t.theta + v, t.p), int(t.totals.max())
-    )
-    lam = t.log_w + size_term[t.totals]
-    numer = t.alpha_vec[None, :] + t.m_mat  # per-component known-label masses
-    idle = _idle_atoms(law.base, registry)
-    extra_labels = list(idle)  # labels off the registry: idle atoms, then new ones
-    extra_counts = list(idle.values())
-    labels: list[str] = []
-    used: set[str] = set()
-    for step in range(m_count):
-        w = np.exp(lam - lam.max())
-        w /= w.sum()
-        denom = theta_eff + step
-        w_denom = w / denom
-        w_mass = float(w_denom.sum())
-        new_prob = w_mass * new_mass
-        extra_probs = [w_mass * cnt for cnt in extra_counts]
-        cum = np.cumsum(
-            np.concatenate([w_denom @ numer, np.array(extra_probs), [new_prob]])
-        )
-        u = rng.random() * cum[-1]
-        j = int(np.searchsorted(cum, u, side="right"))
-        if j < registry.k:
-            lab = registry.labels[j]
-            with np.errstate(divide="ignore"):
-                lam = lam + np.log(numer[:, j]) - np.log(denom)
-            numer[:, j] += 1.0
-        elif j < registry.k + len(extra_labels):
-            e = j - registry.k
-            lab = extra_labels[e]
-            lam = lam + math.log(extra_counts[e]) - np.log(denom)
-            extra_counts[e] += 1
-        else:
-            lab = _fresh_label(registry, used)
-            lam = lam + math.log(new_mass) - np.log(denom)
-            extra_labels.append(lab)
-            extra_counts.append(1)
-        labels.append(lab)
-    return m_count, labels
+        if m_count == 0:
+            return m_count, []
+        pick = t.pick(rng, m_count)
+    m = t.indices[pick].tolist()
+    return m_count, _urn_draws(m, law.base, law.registry, m_count, rng, [], set())

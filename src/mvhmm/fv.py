@@ -647,17 +647,21 @@ def _component_weights(
     """Mixture weights given the earlier further samples ``history``.
 
     Each component's log-weight gains the log-likelihood of ``history``
-    under its Polya urn and, if given, ``log_extra(theta + |m|)``.  With
-    nothing to condition on these are the mixture weights themselves.
+    under its Polya urn and, if given, ``log_extra(theta + |m|)``, evaluated
+    once per distinct total.  With nothing to condition on these are the
+    mixture weights themselves.
     """
     if not history and log_extra is None:
         return [math.exp(lw) for lw, _ in components]
     mass = _urn_mass(base, registry)
+    totals = [sum(m) for _, m in components]
+    if log_extra is not None:
+        extra = {v: log_extra(base.theta + v) for v in set(totals)}
     logs = []
-    for lw, m in components:
-        theta_eff = base.theta + sum(m)
+    for (lw, m), total in zip(components, totals):
+        theta_eff = base.theta + total
         if log_extra is not None:
-            lw += log_extra(theta_eff)
+            lw += extra[total]
         seen: dict[str, int] = {}
         for step, lab in enumerate(history):
             num = mass(lab, m, seen)
@@ -744,31 +748,16 @@ def _check_size(name: str, value, low: int = 0) -> None:
         raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
-def predictive_sample(
-    result: FvSmoothingResult,
-    count: int,
-    rng: np.random.Generator,
-    history: tuple[str, ...] = (),
-) -> list[str]:
-    """Sample further observations sequentially from the smoothed urn mixture.
+def _urn_draws(m, base, registry, count, rng, hist, used) -> list[str]:
+    """``count`` further samples from the Polya urn of the component at index
+    row ``m``, after the earlier further samples ``hist`` (extended in place).
 
-    Picks one retained pair by its smoothing weight conditioned on
-    ``history``, then runs that pair's Polya urn: each draw comes from one of
-    three sources with probabilities proportional to (theta, retained atom
-    count, number of earlier further samples): the base measure, the
-    weighted observed atoms, or the empirical history.
+    Each sample takes one uniform draw and comes from one of three sources
+    with probabilities proportional to (theta, |m|, len(hist)): the base
+    measure, whose mass off its atoms gives a fresh label not in ``used``;
+    the component's atoms, in proportion to ``m``; or ``hist``.
     """
-    _check_size("count", count, 1)
-    components, cum = _cached_tables(result, _pair_components)
-    base = result.law.base
-    registry = result.law.registry
     theta = base.theta
-    hist = list(history)
-    used: set[str] = set(hist)
-    if hist:
-        cum = np.cumsum(_component_weights(components, base, registry, hist))
-        cum /= cum[-1]
-    m = components[int(np.searchsorted(cum, rng.random(), side="right"))][1]
     total = float(sum(m))
     atom_cum = np.cumsum(m, dtype=float)
     atoms = base.atom_probs or {}
@@ -793,3 +782,29 @@ def predictive_sample(
         out.append(lab)
         hist.append(lab)
     return out
+
+
+def predictive_sample(
+    result: FvSmoothingResult,
+    count: int,
+    rng: np.random.Generator,
+    history: tuple[str, ...] = (),
+) -> list[str]:
+    """Sample further observations sequentially from the smoothed urn mixture.
+
+    Picks one retained pair by its smoothing weight conditioned on
+    ``history``, then runs that pair's Polya urn: each draw comes from one of
+    three sources with probabilities proportional to (theta, retained atom
+    count, number of earlier further samples): the base measure, the
+    weighted observed atoms, or the empirical history.
+    """
+    _check_size("count", count, 1)
+    components, cum = _cached_tables(result, _pair_components)
+    base = result.law.base
+    registry = result.law.registry
+    hist = list(history)
+    if hist:
+        cum = np.cumsum(_component_weights(components, base, registry, hist))
+        cum /= cum[-1]
+    m = components[int(np.searchsorted(cum, rng.random(), side="right"))][1]
+    return _urn_draws(m, base, registry, count, rng, hist, set(hist))

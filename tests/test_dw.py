@@ -1,6 +1,7 @@
 """Gamma-mixture engine: updates, propagation, smoothing, prediction."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -380,12 +381,86 @@ class TestPredictCount:
         assert list(predict_count_pmf(law, 1e-12, np.int64(2))) == [0, 1, 2]
 
 
+def _first_two_labels_law(law, m_count=None):
+    """Exact law of (size, first label, second label) of one further draw,
+    chained from predict_count_pmf and predictive_label_pmf; labels a draw
+    does not reach are None, and NEW_LABEL becomes the fresh label the
+    sampler names (``<new>1``, then ``<new>2``)."""
+    sizes = predict_count_pmf(law) if m_count is None else {m_count: 1.0}
+    out = {}
+    for n, p_n in sizes.items():
+        if n == 0:
+            out[(0, None, None)] = p_n
+            continue
+        for key1, p1 in predictive_label_pmf(law, (), n).items():
+            l1 = f"{NEW_LABEL}1" if key1 == NEW_LABEL else key1
+            if n == 1:
+                out[(1, l1, None)] = p_n * p1
+                continue
+            fresh = f"{NEW_LABEL}{2 if l1.startswith(NEW_LABEL) else 1}"
+            for key2, p2 in predictive_label_pmf(law, (l1,), n).items():
+                l2 = fresh if key2 == NEW_LABEL else key2
+                out[(n, l1, l2)] = p_n * p1 * p2
+    return out
+
+
+def _assert_draws_follow(law, exact, rng, m_count, reps):
+    """Draw ``reps`` times and compare the frequency of every (size, first
+    label, second label) cell with its exact rate.  Cells expected fewer
+    than 100 times are pooled into one, so that the normal approximation
+    holds.  Returns the cells compared one by one."""
+    counts = Counter()
+    for _ in range(reps):
+        m, labels = predict_draw(law, rng, m_count)
+        counts[(m, *(labels + [None, None])[:2])] += 1
+    assert math.fsum(exact.values()) == pytest.approx(1.0, abs=1e-9)
+    own = {key for key, p in exact.items() if p * reps >= 100}
+    rare = [key for key in set(exact) | set(counts) if key not in own]
+    cells = [((key,), exact[key]) for key in own]
+    cells.append((rare, math.fsum(exact.get(key, 0.0) for key in rare)))
+    for keys, p in cells:
+        freq = sum(counts[key] for key in keys) / reps
+        se = math.sqrt(max(p * (1 - p), 1 / reps) / reps)
+        assert abs(freq - p) <= 3.5 * se, keys
+    return own
+
+
 class TestPredictDraw:
+    @pytest.mark.parametrize(
+        "base",
+        [BaseMeasure(2.0, {"a": 0.3, "b": 0.3, "c": 0.2}), BaseMeasure(2.0, None)],
+        ids=["discrete-idle-atom", "nonatomic"],
+    )
+    @pytest.mark.parametrize("m_count", [None, 2])
+    def test_joint_law_of_size_and_first_two_labels(self, reg2, base, m_count):
+        # the sampler picks one component, draws the size from it, then runs
+        # its urn; the chained exact pmfs mix over components at every step.
+        # The components differ in total and in type, so a size or an urn
+        # taken from the wrong component shifts the joint law.
+        comps = [
+            (math.log(0.5), MultiIndex((5, 0))),
+            (math.log(0.5), MultiIndex((0, 1))),
+        ]
+        law = GammaMixtureLaw.from_components(
+            comps, base, reg2, beta=1.0, rate_offset=0.5
+        )
+        exact = _first_two_labels_law(law, m_count)
+        own = _assert_draws_follow(
+            law, exact, np.random.default_rng(21), m_count, 40_000
+        )
+        # a repeated new label, and a second new one or a repeated idle atom,
+        # are common enough to be compared cell by cell
+        new1, new2 = f"{NEW_LABEL}1", f"{NEW_LABEL}2"
+        assert (2, new1, new1) in own
+        assert ((2, new1, new2) if base.is_nonatomic else (2, "c", "c")) in own
+
     def test_zero_count_empty(self, reg2, flat2):
         law = GammaMixtureLaw.prior(flat2, reg2, beta=1.0)
         rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
         m, labels = predict_draw(law, rng, m_count=0)
         assert m == 0 and labels == []
+        assert rng.bit_generator.state == state  # no random numbers taken
 
     @pytest.mark.parametrize("m_count", [-1, 2.5, 2.0, True, "2", np.float64(1.0)])
     def test_bad_draw_size_rejected(self, reg2, flat2, m_count):

@@ -2,9 +2,10 @@
 
 Each directory under ``tests/golden/`` holds a ``config`` and a ``data.csv``
 plus one ``<command>.out`` file per command below, written by
-``python tests/test_golden.py``.  The configs list only atoms the data shows,
-and fv sampling is left out, so every output here is fixed by the smoothing
-recursion alone.
+``python tests/test_golden.py``.  The configs list only atoms the data shows.
+Every case includes ``predict-samples``, so the files also pin the sampling
+streams of ``predictive_sample`` (fv) and ``predict_draw`` (dw) at each
+config's seed, not only the smoothing recursion.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ COMMANDS = {
 }
 
 CASES = {
-    "fv-discrete": ("filter", "smooth", "predict-pmf"),
-    "fv-nonatomic": ("filter", "smooth", "predict-pmf"),
+    "fv-discrete": ("filter", "smooth", "predict-pmf", "predict-samples"),
+    "fv-nonatomic": ("filter", "smooth", "predict-pmf", "predict-samples"),
     "dw-discrete": ("filter", "smooth", "predict-pmf", "predict-samples"),
     "dw-nonatomic": ("filter", "smooth", "predict-pmf", "predict-samples"),
 }
