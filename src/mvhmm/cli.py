@@ -32,7 +32,7 @@ __all__ = ["main"]
 def _verify_normalized(law) -> None:
     total = law.weight_sum()
     if abs(total - 1.0) > NORMALIZATION_TOL:
-        worst = max(range(len(law.components)), key=lambda i: law.components[i][0])
+        worst = int(np.argmax(law._arrays[0]))
         raise MvhmmError(
             f"normalization failure: weights sum to {total!r} "
             f"(largest component index {worst})"

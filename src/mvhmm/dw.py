@@ -11,7 +11,9 @@ loop, pair combination, pruning and urn are the Dirichlet engine's (fv.py).
 
 A further draw mixes over components: given one, the size is negative
 binomial and, independently, the elements follow its Polya urn.  The pmfs
-mix the components; the sampler picks one and runs the Dirichlet engine's urn.
+mix the components and the sampler picks one, both through the Dirichlet
+engine's prediction layer, with the size likelihood as the extra
+per-component term when the size is given.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .core import (
     GammaMixtureLaw,
     MultiIndex,
     ObservationTimeline,
-    logsumexp_1d,
 )
 from .dual import (
     DEFAULT_DW_RATE_CONSTANT,
@@ -37,12 +38,12 @@ from .dual import (
 )
 from .errors import DomainError
 from .fv import (
-    _cached_tables,
     _check_size,
     _combine_pairs,
     _filter,
     _PairDecomposition,
     _Pairs,
+    _pick,
     _rescored,
     _result_from_pairs,
     _spread,
@@ -281,6 +282,14 @@ def predict_count_mean(law: GammaMixtureLaw) -> float:
     return sum(math.exp(lw) * (theta + sum(m)) / b_total for lw, m in law._rows())
 
 
+def _size_term(law: GammaMixtureLaw, m_count):
+    """``log_extra`` of a further draw of ``m_count`` elements (checked):
+    theta + |m| -> log NB(m_count; theta + |m|, 1/(1 + beta + rate offset))."""
+    _check_size("draw size", m_count)
+    p = 1.0 / (1.0 + (law.beta + law.rate_offset))
+    return lambda theta_eff: log_neg_bin_pmf(m_count, theta_eff, p)
+
+
 def predictive_label_pmf(
     law: GammaMixtureLaw,
     history: tuple[str, ...] = (),
@@ -292,41 +301,8 @@ def predictive_label_pmf(
     given) and of the elements drawn so far; the urns then mix exactly as in
     the Dirichlet engine, with the rate parameters cancelling.
     """
-    if m_count is None:
-        return _urn_pmf(law, history)
-    _check_size("draw size", m_count)
-    p = 1.0 / (1.0 + (law.beta + law.rate_offset))
-    return _urn_pmf(
-        law, history, lambda theta_eff: log_neg_bin_pmf(m_count, theta_eff, p)
-    )
-
-
-class _DrawTables:
-    """Static arrays backing the further-draw sampler of one mixture law."""
-
-    def __init__(self, law: GammaMixtureLaw):
-        self.theta = law.base.theta
-        self.b_total = law.beta + law.rate_offset
-        self.p = 1.0 / (1.0 + self.b_total)
-        self.log_w, self.indices = law._arrays
-        self.totals = self.indices.sum(axis=1)
-        self.comp_cum = _cum_weights(self.log_w)
-
-    def pick(self, rng: np.random.Generator, m_count: int | None = None) -> int:
-        """A component drawn by its weight, times NB(m_count; theta + |m|, p)
-        if ``m_count`` is given."""
-        cum = self.comp_cum
-        if m_count is not None:
-            nb = _table(
-                lambda v: log_neg_bin_pmf(m_count, self.theta + v, self.p),
-                int(self.totals.max()),
-            )
-            cum = _cum_weights(self.log_w + nb[self.totals])
-        return min(int(np.searchsorted(cum, rng.random(), side="right")), len(cum) - 1)
-
-
-def _cum_weights(lam: np.ndarray) -> np.ndarray:
-    return np.cumsum(np.exp(lam - logsumexp_1d(lam)))
+    log_extra = None if m_count is None else _size_term(law, m_count)
+    return _urn_pmf(law, history, log_extra)
 
 
 def predict_draw(
@@ -342,15 +318,13 @@ def predict_draw(
     given ``m_count`` reweights the pick by its likelihood; 0 returns at once
     and takes no random numbers.
     """
-    t = _cached_tables(law, _DrawTables)
     if m_count is None:
-        pick = t.pick(rng)
-        z = rng.gamma(t.theta + t.totals[pick], 1.0 / t.b_total)
+        m = _pick(law, rng)
+        z = rng.gamma(law.base.theta + sum(m), 1.0 / (law.beta + law.rate_offset))
         m_count = int(rng.poisson(z))
     else:
-        _check_size("draw size", m_count)
+        log_extra = _size_term(law, m_count)
         if m_count == 0:
             return m_count, []
-        pick = t.pick(rng, m_count)
-    m = t.indices[pick].tolist()
+        m = _pick(law, rng, log_extra=log_extra)
     return m_count, _urn_draws(m, law.base, law.registry, m_count, rng, [], set())

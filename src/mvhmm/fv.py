@@ -31,6 +31,11 @@ per-component and per-pair formulas below, so the weights are the same
 floats those formulas give.  Smoothing results hold their pairs as arrays
 and build ``pair_log_weights`` on first access.
 
+Prediction reads only a law's arrays: the pmfs mix the Polya urns of its
+components, and a sampler picks one component by its weight given the
+earlier further samples and runs its urn, which depends only on the index
+k + n + k', not on the (k, k') pairs merged into it.
+
 The ``rtol`` parameters are kept for callers that pass them by position and
 have no effect: the totals transition tables have no tolerance to set (see
 dual.py).
@@ -38,7 +43,9 @@ dual.py).
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 import numbers
 import weakref
@@ -620,55 +627,57 @@ def _idle_atoms(base: BaseMeasure, registry: TypeRegistry) -> dict[str, float]:
     }
 
 
-def _urn_mass(base: BaseMeasure, registry: TypeRegistry):
-    """``mass(lab, m, counts)``: urn weight of ``lab`` in the component at
-    ``m`` given the label ``counts`` of earlier further samples, before
-    division by theta + |m| + sum(counts); other labels weigh as new ones.
+def _urn_masses(law: _MixtureBase, labels, counts: dict[str, int]) -> np.ndarray:
+    """Urn weight of each of ``labels`` (columns) in each component of
+    ``law`` (rows) given the label ``counts`` of earlier further samples,
+    before division by theta + |m| + sum(counts); labels neither observed nor
+    atoms of the base measure weigh as new ones.
     """
-    index = {lab: j for j, lab in enumerate(registry.labels)}
+    base, registry = law.base, law.registry
+    indices = law._arrays[1]
     alpha_vec = base.alpha_vector(registry)
     idle = _idle_atoms(base, registry)
-    new_mass = base.theta * base.unseen_mass
+    out = np.empty((len(indices), len(labels)))
+    for col, lab in enumerate(labels):
+        count = counts.get(lab, 0)
+        if lab in registry:
+            j = registry.index_of(lab)
+            out[:, col] = alpha_vec[j] + indices[:, j] + count
+        elif lab in idle:
+            out[:, col] = idle[lab] + count
+        else:
+            out[:, col] = count or base.theta * base.unseen_mass
+    return out
 
-    def mass(lab: str, m: MultiIndex, counts: dict[str, int]) -> float:
-        if lab in index:
-            j = index[lab]
-            return alpha_vec[j] + m[j] + counts.get(lab, 0)
-        if lab in idle:
-            return idle[lab] + counts.get(lab, 0)
-        return counts.get(lab, 0) or new_mass
 
-    return mass
+def _per_value(fn, values: np.ndarray) -> np.ndarray:
+    """``fn(v)`` for every entry v of ``values``, one call per distinct value."""
+    distinct, where = np.unique(values, return_inverse=True)
+    return np.array([fn(v) for v in distinct.tolist()], dtype=float)[where]
 
 
-def _component_weights(
-    components, base: BaseMeasure, registry: TypeRegistry, history, log_extra=None
-):
+def _component_weights(law: _MixtureBase, history=(), log_extra=None) -> np.ndarray:
     """Mixture weights given the earlier further samples ``history``.
 
     Each component's log-weight gains the log-likelihood of ``history``
-    under its Polya urn and, if given, ``log_extra(theta + |m|)``, evaluated
-    once per distinct total.  With nothing to condition on these are the
-    mixture weights themselves.
+    under its Polya urn and, if given, ``log_extra(theta + |m|)``; logs are
+    taken by math.log once per distinct argument.  With nothing to condition
+    on these are the mixture weights themselves.
     """
+    logs, indices = law._arrays
     if not history and log_extra is None:
-        return [math.exp(lw) for lw, _ in components]
-    mass = _urn_mass(base, registry)
-    totals = [sum(m) for _, m in components]
+        return np.array([math.exp(lw) for lw in logs.tolist()])
+    theta = law.base.theta
+    totals = indices.sum(axis=1)
     if log_extra is not None:
-        extra = {v: log_extra(base.theta + v) for v in set(totals)}
-    logs = []
-    for (lw, m), total in zip(components, totals):
-        theta_eff = base.theta + total
-        if log_extra is not None:
-            lw += extra[total]
-        seen: dict[str, int] = {}
-        for step, lab in enumerate(history):
-            num = mass(lab, m, seen)
-            lw += math.log(num) - math.log(theta_eff + step) if num > 0 else -math.inf
-            seen[lab] = seen.get(lab, 0) + 1
-        logs.append(lw)
-    logs = np.array(logs)
+        logs = logs + _per_value(lambda v: log_extra(theta + v), totals)
+    seen: dict[str, int] = {}
+    for step, lab in enumerate(history):
+        num = _urn_masses(law, (lab,), seen)[:, 0]
+        log_num = _per_value(lambda v: math.log(v) if v > 0 else -math.inf, num)
+        log_den = _per_value(lambda v: math.log(theta + v + step), totals)
+        logs = logs + (log_num - log_den)
+        seen[lab] = seen.get(lab, 0) + 1
     shift = logsumexp_1d(logs)
     if shift == -math.inf:
         raise AllWeightsZero("history has probability zero under every component")
@@ -677,22 +686,18 @@ def _component_weights(
 
 def _urn_pmf(law: _MixtureBase, history, log_extra=None) -> dict[str, float]:
     """Next-sample law of the urn mixture of ``law`` given ``history``; see
-    predictive_pmf.  ``log_extra`` is as in _component_weights."""
+    predictive_pmf.  ``log_extra`` is as in _component_weights.  Components
+    are summed in order (a cumulative sum), as a loop over them would."""
     base, registry = law.base, law.registry
-    components = law._rows()
-    weights = _component_weights(components, base, registry, history, log_extra)
-    mass = _urn_mass(base, registry)
     counts: dict[str, int] = {}
     for lab in history:
         counts[lab] = counts.get(lab, 0) + 1
-    out = dict.fromkeys(
-        (*registry.labels, *_idle_atoms(base, registry), *counts, NEW_LABEL), 0.0
-    )
-    for w, (_, m) in zip(weights, components):
-        denom = base.theta + sum(m) + len(history)
-        for lab in out:
-            out[lab] += w * mass(lab, m, counts) / denom
-    return out
+    idle = _idle_atoms(base, registry)
+    labels = list(dict.fromkeys((*registry.labels, *idle, *counts, NEW_LABEL)))
+    weights = _component_weights(law, history, log_extra)
+    denoms = base.theta + law._arrays[1].sum(axis=1) + len(history)
+    terms = weights[:, None] * _urn_masses(law, labels, counts) / denoms[:, None]
+    return dict(zip(labels, np.cumsum(terms, axis=0)[-1].tolist()))
 
 
 def predictive_pmf(
@@ -719,25 +724,23 @@ def _fresh_label(registry: TypeRegistry, used: set[str]) -> str:
         i += 1
 
 
-_table_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_cumulative: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _cached_tables(owner, build):
-    """Sampler tables of ``owner``, built once and kept while it lives."""
-    tables = _table_cache.get(owner)
-    if tables is None:
-        tables = _table_cache[owner] = build(owner)
-    return tables
-
-
-def _pair_components(result: "FvSmoothingResult"):
-    """(log-weight, index row) components of the retained pairs of
-    ``result``, in pair order, with their cumulative normalized weights."""
-    pairs = result._pairs
-    log_weights = pairs.log_weights.tolist()
-    comps = list(zip(log_weights, pairs.indices(result.n_now).tolist()))
-    cum = np.cumsum([math.exp(lw) for lw in log_weights])
-    return comps, cum / cum[-1]
+def _pick(law: _MixtureBase, rng, history=(), log_extra=None) -> list[int]:
+    """Index row of one component of ``law``, drawn by its weight given
+    ``history`` and ``log_extra`` (as in _component_weights).  With nothing
+    to condition on, the cumulative weights are built once per law and kept
+    while it lives."""
+    if history or log_extra is not None:
+        cum = np.cumsum(_component_weights(law, history, log_extra))
+    else:
+        cum = _cumulative.get(law)
+        if cum is None:
+            logs = law._arrays[0]
+            cum = _cumulative[law] = np.cumsum(np.exp(logs - logsumexp_1d(logs)))
+    j = min(int(np.searchsorted(cum, rng.random(), side="right")), len(cum) - 1)
+    return law._arrays[1][j].tolist()
 
 
 def _check_size(name: str, value, low: int = 0) -> None:
@@ -759,23 +762,23 @@ def _urn_draws(m, base, registry, count, rng, hist, used) -> list[str]:
     """
     theta = base.theta
     total = float(sum(m))
-    atom_cum = np.cumsum(m, dtype=float)
+    atom_cum = list(itertools.accumulate(m))
     atoms = base.atom_probs or {}
     base_labels = tuple(atoms)
-    base_cum = np.cumsum(list(atoms.values()))
+    base_cum = list(itertools.accumulate(atoms.values()))
     out: list[str] = []
     for _ in range(count):
         denom = theta + total + len(hist)
         v = rng.random() * denom
         if v < theta:
             u = v / theta
-            j = int(np.searchsorted(base_cum, u, side="right"))
+            j = bisect.bisect_right(base_cum, u)
             if j < len(base_labels):
                 lab = base_labels[j]
             else:
                 lab = _fresh_label(registry, used)
         elif v < theta + total:
-            j = int(np.searchsorted(atom_cum, v - theta, side="right"))
+            j = bisect.bisect_right(atom_cum, v - theta)
             lab = registry.labels[j]
         else:
             lab = hist[min(int(v - theta - total), len(hist) - 1)]
@@ -792,19 +795,14 @@ def predictive_sample(
 ) -> list[str]:
     """Sample further observations sequentially from the smoothed urn mixture.
 
-    Picks one retained pair by its smoothing weight conditioned on
-    ``history``, then runs that pair's Polya urn: each draw comes from one of
-    three sources with probabilities proportional to (theta, retained atom
-    count, number of earlier further samples): the base measure, the
-    weighted observed atoms, or the empirical history.
+    Picks one component of ``result.law`` by its smoothing weight
+    conditioned on ``history``, then runs that component's Polya urn: each
+    draw comes from one of three sources with probabilities proportional to
+    (theta, the component's atom count, number of earlier further samples):
+    the base measure, the weighted observed atoms, or the empirical history.
     """
     _check_size("count", count, 1)
-    components, cum = _cached_tables(result, _pair_components)
-    base = result.law.base
-    registry = result.law.registry
+    law = result.law
     hist = list(history)
-    if hist:
-        cum = np.cumsum(_component_weights(components, base, registry, hist))
-        cum /= cum[-1]
-    m = components[int(np.searchsorted(cum, rng.random(), side="right"))][1]
-    return _urn_draws(m, base, registry, count, rng, hist, set(hist))
+    m = _pick(law, rng, hist)
+    return _urn_draws(m, law.base, law.registry, count, rng, hist, set(hist))

@@ -250,11 +250,11 @@ def format_float(value: float) -> str:
 def format_mixture(law, header: dict[str, str]) -> str:
     """Line-oriented key-value rendering with a stable field order."""
     lines = [f"{key} {value}" for key, value in header.items()]
-    lines.append(f"n_components {len(law.components)}")
+    lines.append(f"n_components {len(law)}")
     if hasattr(law, "rate_offset"):
         lines.append(f"beta {format_float(law.beta)}")
         lines.append(f"rate_offset {format_float(law.rate_offset)}")
-    for pos, (lw, idx) in enumerate(law.components):
+    for pos, (lw, idx) in enumerate(law._rows()):
         lines.append(f"component {pos}")
         lines.append("index " + ",".join(str(v) for v in idx))
         lines.append(f"log_weight {format_float(lw)}")

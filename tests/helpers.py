@@ -1,10 +1,10 @@
 """Shared test utilities: randomized datasets and reference recursions.
 
 The scalar reference engine at the end (``reference_spread``,
-``reference_combine_pairs``, ``reference_merge`` and the filters and
-smoother built from them) makes one Python call per lattice point, per pair
-and per component.  The engine's array kernels must reproduce its floats
-exactly.
+``reference_combine_pairs``, ``reference_merge``, the filters and smoother
+built from them, and ``reference_predictive_pmf``) makes one Python call per
+lattice point, per pair, per component and per label.  The engine's array
+kernels must reproduce its floats exactly.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from mvhmm.dual import (
 from mvhmm.dw import propagate_dw, update_gamma
 from mvhmm.errors import AllWeightsZero
 from mvhmm.fv import (
+    NEW_LABEL,
     SharedAtomSets,
     discrete_case_log,
     nonatomic_log_coefficient,
@@ -42,7 +43,7 @@ from mvhmm.fv import (
     sharing_degree,
     update_dirichlet,
 )
-from mvhmm.specfun import log_gamma_marginal
+from mvhmm.specfun import log_gamma_marginal, log_neg_bin_pmf
 
 
 def random_dataset(rng: np.random.Generator, mode: str, base_kind: str):
@@ -430,3 +431,79 @@ def reference_smooth(timeline, i, base, pruning_epsilon, beta=None):
         )
     comps = [(lw, k + n_now + kp) for (k, kp), lw in pairs.items()]
     return pairs, dataclasses.replace(v1, components=reference_merge(comps), **changes)
+
+
+def _reference_urn_mass(base, registry):
+    """``mass(lab, m, counts)``: urn weight of ``lab`` in the component at
+    ``m`` given the label ``counts`` of earlier further samples, before
+    division by theta + |m| + sum(counts); other labels weigh as new ones."""
+    index = {lab: j for j, lab in enumerate(registry.labels)}
+    alpha_vec = base.alpha_vector(registry)
+    idle = {
+        lab: base.theta * p
+        for lab, p in (base.atom_probs or {}).items()
+        if lab not in registry
+    }
+    new_mass = base.theta * base.unseen_mass
+
+    def mass(lab, m, counts):
+        if lab in index:
+            j = index[lab]
+            return alpha_vec[j] + m[j] + counts.get(lab, 0)
+        if lab in idle:
+            return idle[lab] + counts.get(lab, 0)
+        return counts.get(lab, 0) or new_mass
+
+    return mass, idle
+
+
+def _reference_component_weights(components, base, registry, history, log_extra):
+    """Mixture weights given ``history``, one urn term per component and
+    history step and one ``log_extra(theta + |m|)`` call per component."""
+    if not history and log_extra is None:
+        return [math.exp(lw) for lw, _ in components]
+    mass, _ = _reference_urn_mass(base, registry)
+    logs = []
+    for lw, m in components:
+        theta_eff = base.theta + sum(m)
+        if log_extra is not None:
+            lw += log_extra(theta_eff)
+        seen: dict[str, int] = {}
+        for step, lab in enumerate(history):
+            num = mass(lab, m, seen)
+            lw += math.log(num) - math.log(theta_eff + step) if num > 0 else -math.inf
+            seen[lab] = seen.get(lab, 0) + 1
+        logs.append(lw)
+    logs = np.array(logs)
+    shift = logsumexp_1d(logs)
+    if shift == -math.inf:
+        raise AllWeightsZero("history has probability zero under every component")
+    return np.exp(logs - shift)
+
+
+def reference_predictive_pmf(law, history=(), m_count=None):
+    """fv.predictive_pmf, or dw.predictive_label_pmf given the draw size
+    ``m_count``: the urn mixture summed component by component and label by
+    label."""
+    base, registry = law.base, law.registry
+    log_extra = None
+    if m_count is not None:
+        p = 1.0 / (1.0 + (law.beta + law.rate_offset))
+
+        def log_extra(theta_eff):
+            return log_neg_bin_pmf(m_count, theta_eff, p)
+
+    components = law.components
+    weights = _reference_component_weights(
+        components, base, registry, history, log_extra
+    )
+    mass, idle = _reference_urn_mass(base, registry)
+    counts: dict[str, int] = {}
+    for lab in history:
+        counts[lab] = counts.get(lab, 0) + 1
+    out = dict.fromkeys((*registry.labels, *idle, *counts, NEW_LABEL), 0.0)
+    for w, (_, m) in zip(weights, components):
+        denom = base.theta + sum(m) + len(history)
+        for lab in out:
+            out[lab] += w * mass(lab, m, counts) / denom
+    return out

@@ -3,6 +3,7 @@ prediction."""
 
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -579,6 +580,69 @@ class TestPredictive:
         rng = np.random.default_rng(5)
         draws = [predictive_sample(result, 1, rng)[0] for _ in range(200)]
         assert all(lab in reg2 or lab.startswith(NEW_LABEL) for lab in draws)
+
+    @pytest.mark.parametrize(
+        "base",
+        [BaseMeasure(2.0, {"a": 0.3, "b": 0.3, "c": 0.2}), BaseMeasure(2.0, None)],
+        ids=["discrete-idle-atom", "nonatomic"],
+    )
+    @pytest.mark.parametrize("history", [(), ("a",)], ids=["no-history", "history"])
+    def test_joint_law_of_first_labels(self, reg2, base, history):
+        # the sampler picks one component of the smoothing law, then runs its
+        # urn; the chained exact pmfs mix over components at every step.  Here
+        # several (k, k') pairs merge into one component (32 pairs into 14
+        # components with the discrete base, 18 into 10 with the nonatomic one),
+        # and the components differ in total and in type, so a pick that
+        # ignores the weights or the history shifts the joint law
+        tl = mk_timeline(reg2, (0.0, 0.4, 1.0), [(0, 3), (0, 1), (1, 3)])
+        result = smooth(tl, 1, base)
+        assert result.component_count > len(result.law) > 1
+        count = 1 if history else 2
+        exact = _first_labels_law(result.law, history, count)
+        rng = np.random.default_rng(13)
+        reps = 20_000 if history else 40_000
+        draws = Counter(
+            tuple(predictive_sample(result, count, rng, history)) for _ in range(reps)
+        )
+        own = _assert_frequencies(exact, draws, reps)
+        new1, new2 = f"{NEW_LABEL}1", f"{NEW_LABEL}2"
+        if not history:
+            # a repeated new label, and a second new one or a repeated idle
+            # atom, are common enough to be compared cell by cell
+            assert (new1, new1) in own
+            assert ((new1, new2) if base.is_nonatomic else ("c", "c")) in own
+
+
+def _first_labels_law(law, history, count):
+    """Exact law of the first ``count`` (1 or 2) labels of a further sample
+    sequence after ``history``, chained from predictive_pmf; NEW_LABEL
+    becomes the fresh label the sampler names (``<new>1``, then ``<new>2``)."""
+    out = {}
+    for key1, p1 in predictive_pmf(law, history).items():
+        l1 = f"{NEW_LABEL}1" if key1 == NEW_LABEL else key1
+        if count == 1:
+            out[(l1,)] = p1
+            continue
+        fresh = f"{NEW_LABEL}{2 if l1.startswith(NEW_LABEL) else 1}"
+        for key2, p2 in predictive_pmf(law, (*history, l1)).items():
+            out[(l1, fresh if key2 == NEW_LABEL else key2)] = p1 * p2
+    return out
+
+
+def _assert_frequencies(exact, draws, reps):
+    """Compare the frequency of every cell of ``draws`` with its exact rate.
+    Cells expected fewer than 100 times are pooled into one, so that the
+    normal approximation holds.  Returns the cells compared one by one."""
+    assert math.fsum(exact.values()) == pytest.approx(1.0, abs=1e-12)
+    own = {key for key, p in exact.items() if p * reps >= 100}
+    rare = [key for key in set(exact) | set(draws) if key not in own]
+    cells = [((key,), exact[key]) for key in own]
+    cells.append((rare, math.fsum(exact.get(key, 0.0) for key in rare)))
+    for keys, p in cells:
+        freq = sum(draws[key] for key in keys) / reps
+        se = math.sqrt(max(p * (1 - p), 1 / reps) / reps)
+        assert abs(freq - p) <= 3.5 * se, keys
+    return own
 
 
 def test_filter_requires_fv_timeline(reg2, flat2):

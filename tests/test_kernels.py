@@ -1,9 +1,10 @@
 """The array kernels against the scalar reference engine in helpers.py.
 
-Lattice spread, pair combination and component merge run as array kernels;
-their filter laws, smoothing laws and pair log-weights must equal those of
-the per-lattice-point, per-pair and per-component loops to the bit (keys,
-order and values), not merely to a tolerance.
+Lattice spread, pair combination, component merge and the predictive urn
+mixture run as array kernels; their filter laws, smoothing laws, pair
+log-weights and predictive pmfs must equal those of the per-lattice-point,
+per-pair, per-component and per-label loops to the bit (keys, order and
+values), not merely to a tolerance.
 """
 
 import math
@@ -14,6 +15,7 @@ import pytest
 from helpers import (
     random_dataset,
     reference_filter,
+    reference_predictive_pmf,
     reference_propagate,
     reference_smooth,
 )
@@ -25,8 +27,21 @@ from mvhmm.core import (
     _row_codes,
 )
 from mvhmm.dual import FvDualSpec, fv_totals_transition, fv_typed_log_prob
-from mvhmm.dw import filter_backward_dw, filter_forward_dw, smooth_dw
-from mvhmm.fv import filter_backward, filter_forward, propagate_forward, smooth
+from mvhmm.dw import (
+    filter_backward_dw,
+    filter_forward_dw,
+    predictive_label_pmf,
+    smooth_dw,
+)
+from mvhmm.errors import AllWeightsZero
+from mvhmm.fv import (
+    NEW_LABEL,
+    filter_backward,
+    filter_forward,
+    predictive_pmf,
+    propagate_forward,
+    smooth,
+)
 
 
 def _criterion_02_datasets(mode, kind):
@@ -77,6 +92,44 @@ def test_kernels_equal_scalar_loops(mode, kind):
                 assert getattr(result.law, "rate_offset", None) == getattr(
                     ref_law, "rate_offset", None
                 )
+
+
+def _with_idle_atom(base):
+    """``base`` with half its mass off the observed atoms moved to an atom
+    "z" that no dataset shows; a nonatomic base is returned as it is."""
+    if base.is_nonatomic:
+        return base
+    return BaseMeasure(base.theta, {**base.atom_probs, "z": base.unseen_mass / 2})
+
+
+def _outcome(fn, *args):
+    """The items of the pmf ``fn(*args)``, or AllWeightsZero if it raises that."""
+    try:
+        return list(fn(*args).items())
+    except AllWeightsZero:
+        return AllWeightsZero
+
+
+@pytest.mark.parametrize("kind", ["discrete", "nonatomic"])
+@pytest.mark.parametrize("mode", ["fv", "dw"])
+def test_predictive_pmfs_equal_scalar_loops(mode, kind):
+    # "z" is an idle atom under the discrete base and a new label under the
+    # nonatomic one; a label no component carries makes a history impossible
+    for timeline, base, beta in _criterion_02_datasets(mode, kind):
+        base = _with_idle_atom(base)
+        first, last = timeline.registry.labels[0], timeline.registry.labels[-1]
+        histories = ((), (first,), (last, "z", last), (f"{NEW_LABEL}1", first))
+        for i in range(timeline.n_times):
+            law = _smooth(timeline, i, base, beta, 0.0).law
+            for history in histories:
+                if beta is None:
+                    pmf = _outcome(predictive_pmf, law, history)
+                    assert pmf == _outcome(reference_predictive_pmf, law, history)
+                    continue
+                for m_count in (None, 1, 3):
+                    pmf = _outcome(predictive_label_pmf, law, history, m_count)
+                    ref = _outcome(reference_predictive_pmf, law, history, m_count)
+                    assert pmf == ref
 
 
 def test_long_gap_propagation_drops_underflowed_moves():
