@@ -38,11 +38,13 @@ from .dual import (
 )
 from .errors import DomainError
 from .fv import (
+    _case_score,
     _check_size,
     _combine_pairs,
     _filter,
     _PairDecomposition,
     _Pairs,
+    _PartScores,
     _pick,
     _rescored,
     _result_from_pairs,
@@ -184,26 +186,21 @@ class DwSmoothingResult(_PairDecomposition):
     _pairs: _Pairs = field(repr=False)
 
 
-def _gamma_pair_term(n_now, a_past, c_now, a_future, theta, beta):
-    """The total-count marginal ratio of retained pairs as a function of
-    their totals |k| and |k'| (broadcast int arrays): the branching model's
-    extra pair term.  Each log_gamma_marginal is evaluated once per distinct
-    total."""
-    n_tot = n_now.total
+def _total_count_scores(a_past, c_now, a_future, theta: float, beta: float):
+    """Row scores of the total-count marginal ratio: log_gamma_marginal of a
+    row's total at its part's draw cardinality, each evaluated once per
+    distinct total."""
 
-    def marginals(a, top):
-        return _table(lambda v: log_gamma_marginal(v, a, theta, beta), top)
+    def at(a):
+        def score(columns):
+            totals = sum(columns)
+            top = int(totals.max())
+            return _table(lambda v: log_gamma_marginal(v, a, theta, beta), top)[totals]
 
-    def term(k_tot: np.ndarray, kp_tot: np.ndarray) -> np.ndarray:
-        k_top, kp_top = int(k_tot.max()), int(kp_tot.max())
-        at_sums = marginals(a_past + c_now + a_future, k_top + n_tot + kp_top)
-        at_now = log_gamma_marginal(n_tot, c_now, theta, beta)
-        return (
-            (at_sums[k_tot + n_tot + kp_tot] - marginals(a_past, k_top)[k_tot])
-            - at_now
-        ) - marginals(a_future, kp_top)[kp_tot]
+        return score
 
-    return term
+    sums = at(a_past + c_now + a_future)
+    return _PartScores(sums=sums, past=at(a_past), now=at(c_now), future=at(a_future))
 
 
 def smooth_dw(
@@ -225,12 +222,12 @@ def smooth_dw(
     v2 = filter_backward_dw(timeline, i, base, beta, kappa)
     n_now = timeline.counts_at(i)
     c_now = timeline.cardinality_at(i)
-    extra = _gamma_pair_term(
-        n_now, v1.rate_offset, c_now, v2.rate_offset, base.theta, beta
-    )
-    alpha_vec = base.alpha_vector(timeline.registry)
-    pairs = _combine_pairs(v1._arrays, v2._arrays, n_now, base, alpha_vec, extra)
     offset = v1.rate_offset + c_now + v2.rate_offset
+    scores = [
+        _total_count_scores(v1.rate_offset, c_now, v2.rate_offset, base.theta, beta),
+        _case_score(base, timeline.registry),
+    ]
+    pairs = _combine_pairs(v1._arrays, v2._arrays, n_now, base, scores)
     pairs, law = _result_from_pairs(
         pairs, n_now, pruning_epsilon, v1, rate_offset=offset
     )

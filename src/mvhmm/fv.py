@@ -13,18 +13,21 @@ distribution every weight is a ratio of Dirichlet-categorical marginals.
 With a nonatomic one the weights are the limits of those ratios under ever
 finer discretizations: components that fail to carry an atom for a type
 observed at more than one collection time are suppressed by a vanishing
-factor and drop out, while the surviving components pick up explicit
-Pochhammer/factorial coefficients.
+factor and drop out, while the surviving ones keep the ratio at zero atom
+mass, each type contributing lgamma of its count (the paper's factorial
+coefficients, nonatomic_log_coefficient).
 
 The filter loop, lattice spread, pair combination, pruning and predictive
 urn below serve both models: the branching engine (dw.py) passes in its own
-update, propagation and total-count pair term.
+update, propagation and the row score of its total-count pair term.
 
 Mixtures enter these kernels as a log-weight vector and an index-row matrix.
-The update and the discrete case term score index rows from per-column tables
-of the observation score's terms; the lattice spread builds every lattice
-point at once and gathers transition log-probabilities from tables; the pair
-combination scores all forward x backward pairs by broadcasting.  Each
+The update scores index rows from per-column tables of the observation
+score's terms; the lattice spread builds every lattice point at once and
+gathers transition log-probabilities from tables; the pair combination
+scores all forward x backward pairs by broadcasting, every pair term as one
+ratio S(k + n + k') - S(k) - S(n) - S(k') of row scores gathered the same
+way, the case term's S being the observation score under the prior.  Each
 scalar term is evaluated once per distinct argument by the scalar function
 that defines it and then gathered, keeping the order of additions of the
 per-component and per-pair formulas below, so the weights are the same
@@ -49,7 +52,9 @@ import itertools
 import math
 import numbers
 import weakref
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,13 +106,11 @@ def _score_term(j, mj, nj, nonatomic: bool, alpha_vec, carriers) -> float:
     a component holding ``mj`` of it (0.0 when ``nj`` is 0)."""
     if nj == 0:
         return 0.0
-    if not nonatomic:
-        aj = alpha_vec[j] + mj
-        if aj <= 0.0:
-            raise DomainError(f"nonpositive parameter {aj} at a positive count")
+    aj = alpha_vec[j] + mj
+    if aj > 0.0:
         return math.lgamma(aj + nj) - math.lgamma(aj)
-    if mj > 0:
-        return math.lgamma(mj + nj) - math.lgamma(mj)
+    if not nonatomic:
+        raise DomainError(f"nonpositive parameter {aj} at a positive count")
     return -math.inf if carriers[j] else math.lgamma(nj)
 
 
@@ -150,14 +153,15 @@ def _table(fn, top: int) -> np.ndarray:
     return np.array([fn(v) for v in range(top + 1)], dtype=float)
 
 
-def _row_scores(rows: np.ndarray, term, total_term) -> np.ndarray:
-    """For every row r of ``rows``: ``term(j, rows[r, j])`` summed over the
-    columns j from 0.0, plus ``total_term(sum(rows[r]))``.  Each term is
-    evaluated once per value up to its column's largest and gathered."""
-    out = np.zeros(len(rows))
-    for j, col in enumerate(rows.T):
+def _row_scores(columns, term, total_term) -> np.ndarray:
+    """For every row r given by ``columns`` (int arrays of one broadcast
+    shape, column j holding r_j): ``term(j, r_j)`` summed over the columns
+    from 0.0, plus ``total_term(|r|)``.  Each term is evaluated once per value
+    up to its column's largest and gathered; ``columns`` is iterated once."""
+    out, totals = 0.0, 0
+    for j, col in enumerate(columns):
         out = out + _table(functools.partial(term, j), int(col.max()))[col]
-    totals = rows.sum(axis=1)
+        totals = totals + col
     return out + _table(total_term, int(totals.max()))[totals]
 
 
@@ -173,7 +177,7 @@ def _rescored(law: _MixtureBase, n: MultiIndex, log_extra=None):
     log_weights, indices = law._arrays
     nonatomic, carriers = base.is_nonatomic, (indices > 0).any(axis=0).tolist()
     scores = _row_scores(
-        indices,
+        indices.T,
         lambda j, mj: _score_term(j, mj, n[j], nonatomic, alpha_vec, carriers),
         lambda total: _total_term(base.theta + total, n.total),
     )
@@ -472,69 +476,65 @@ def _sharing_degrees(a: np.ndarray, n: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.broadcast_to(degrees, (len(a), len(b)))
 
 
-def _nonatomic_coefficients(a, n, b, theta: float) -> np.ndarray:
-    """nonatomic_log_coefficient of every pair (row of a, row of b), with
-    the same floats: each log-Pochhammer and log-gamma term is evaluated once
-    per distinct argument."""
-    k_tot, kp_tot = a.sum(axis=1)[:, None], b.sum(axis=1)[None, :]
-    top = int(k_tot.max() + kp_tot.max())
-    poch = _table(lambda v: log_pochhammer(theta, v), top)
-    poch_now = _table(lambda v: log_pochhammer(theta + int(n.sum()), v), top)
-    out = (poch[k_tot] + poch[kp_tot]) - poch_now[k_tot + kp_tot]
-    top = int(a.max(initial=0) + n.max(initial=0) + b.max(initial=0))
-    lgamma = _table(lambda v: math.lgamma(v) if v > 0 else 0.0, top)
-    for j in range(len(n)):
-        kj, nj, pj = a[:, j, None], int(n[j]), b[None, :, j]
-        s = kj + nj + pj
-        out = np.where(s > 0, out + lgamma[s], out)
-        out = np.where(kj > 0, out - lgamma[kj], out)
-        if nj > 0:
-            out = out - lgamma[nj]
-        out = np.where(pj > 0, out - lgamma[pj], out)
-    return out
+class _PartScores(NamedTuple):
+    """Row score S of each part of a pair ratio (see _ratio_terms), mapping
+    the columns of rows (as in _row_scores) to S of those rows: for the sums
+    k + n + k', the forward row k, the current counts n, the backward row k'."""
+
+    sums: Callable
+    past: Callable
+    now: Callable
+    future: Callable
 
 
-def _discrete_case_terms(a, n, b, alpha_vec, theta: float) -> np.ndarray:
-    """discrete_case_log of every pair (row of a, row of b), with the same
-    floats: log_dir_cat(r) is _score_term(j, 0, r_j) summed over the types
-    plus _total_term(theta, |r|), each gathered from a table per column."""
-
-    def log_dir_cats(rows: np.ndarray) -> np.ndarray:
-        return _row_scores(
-            rows,
-            lambda j, rj: _score_term(j, 0, rj, False, alpha_vec, None),
-            lambda total: _total_term(theta, total),
-        )
-
-    sums = (a[:, None, :] + n + b[None, :, :]).reshape(len(a) * len(b), len(n))
-    at_sums = log_dir_cats(sums).reshape(len(a), len(b))
-    at_now = log_dir_cat(n.tolist(), alpha_vec, total=theta)
-    return ((at_sums - log_dir_cats(a)[:, None]) - at_now) - log_dir_cats(b)[None, :]
+def _ratio_terms(a, n, b, score: _PartScores) -> np.ndarray:
+    """S(k + n + k') - S(k) - S(n) - S(k') for every pair (k a row of a, k'
+    a row of b), as an |a| x |b| grid.  The sums are passed one column at a
+    time."""
+    sums = (a[:, None, j] + n[j] + b[None, :, j] for j in range(len(n)))
+    at_sums = score.sums(sums)
+    at_past, at_now = score.past(a.T)[:, None], score.now(n[:, None])
+    return ((at_sums - at_past) - at_now) - score.future(b.T)[None, :]
 
 
-def _combine_pairs(
-    first, second, n_now: MultiIndex, base: BaseMeasure, alpha_vec, extra=None
-) -> _Pairs:
+def _case_score(base: BaseMeasure, registry: TypeRegistry) -> _PartScores:
+    """Row score of the case term, the same for every part: the observation
+    score of a row r under the prior, _score_term(j, 0, r_j) summed over the
+    types plus _total_term(theta, |r|).  Under a discrete base this is
+    log_dir_cat(r); under a nonatomic one (alpha = 0) the per-type term is
+    lgamma(r_j), the discretization limit, and the ratio is
+    nonatomic_log_coefficient."""
+    alpha_vec = base.alpha_vector(registry)
+    carriers = (False,) * registry.k
+
+    def term(j, rj):
+        return _score_term(j, 0, rj, base.is_nonatomic, alpha_vec, carriers)
+
+    def score(columns):
+        return _row_scores(columns, term, lambda t: _total_term(base.theta, t))
+
+    return _PartScores(score, score, score, score)
+
+
+def _combine_pairs(first, second, n_now: MultiIndex, base: BaseMeasure, scores):
     """Unnormalized pair log-weights from propagated filter components,
-    each given as (log-weights, index rows), and the case term.
+    each given as (log-weights, index rows).
 
-    ``extra(|k|, |k'|)``, if given, is a model-specific term of the two
-    totals (broadcast int arrays), added between the filter weights and the
-    case term (the branching model's total-count marginal ratio).  Under a
+    Every pair term is a ratio of row scores (see _ratio_terms), added in
+    the order of ``scores`` after the filter weights: the case term, and
+    for the branching model first its total-count marginal ratio.  Under a
     nonatomic base measure only the pairs of maximal sharing degree survive
     the discretization limit.
     """
     (lw1, a), (lw2, b) = first, second
     n = np.array(n_now.counts, dtype=np.int64)
     lw = lw1[:, None] + lw2[None, :]
-    if extra is not None:
-        lw = lw + extra(a.sum(axis=1)[:, None], b.sum(axis=1)[None, :])
+    for score in scores:
+        lw = lw + _ratio_terms(a, n, b, score)
     if base.is_nonatomic:
-        lw = lw + _nonatomic_coefficients(a, n, b, base.theta)
         degrees = _sharing_degrees(a, n, b).ravel()
         positions = np.flatnonzero(degrees == degrees.max())
     else:
-        lw = lw + _discrete_case_terms(a, n, b, alpha_vec, base.theta)
         positions = np.arange(lw.size)
     return _Pairs(a, b, positions, lw.ravel()[positions])
 
@@ -606,8 +606,8 @@ def smooth(
     v1 = filter_forward(timeline, i, base)
     v2 = filter_backward(timeline, i, base)
     n_now = timeline.fv_counts[i]
-    alpha_vec = base.alpha_vector(timeline.registry)
-    pairs = _combine_pairs(v1._arrays, v2._arrays, n_now, base, alpha_vec)
+    case = _case_score(base, timeline.registry)
+    pairs = _combine_pairs(v1._arrays, v2._arrays, n_now, base, [case])
     pairs, law = _result_from_pairs(pairs, n_now, pruning_epsilon, v1)
     return FvSmoothingResult(n_now, law, pairs)
 

@@ -314,24 +314,39 @@ def reference_spread(components, log_prob) -> list:
     return comps
 
 
+def reference_case_log(k, n, kp, base, alpha_vec):
+    """The case term of one pair as a ratio of prior observation scores,
+    S(k + n + kp) - S(k) - S(n) - S(kp), for either base measure: under a
+    discrete one it is discrete_case_log, under a nonatomic one
+    nonatomic_log_coefficient (in another order of operations)."""
+    zeros = MultiIndex.zeros(len(k))
+    no_carriers = (False,) * len(k)
+
+    def score(r):
+        return observation_log_score(
+            zeros, r, base, alpha_vec, no_carriers, base.theta
+        )
+
+    return ((score(k + n + kp) - score(k)) - score(n)) - score(kp)
+
+
 def reference_combine_pairs(comps1, comps2, n_now, base, alpha_vec, extra=None):
     """Unnormalized pair log-weights, one case-term call per pair."""
     pairs = ((k, kp, lw1 + lw2) for lw1, k in comps1 for lw2, kp in comps2)
-    nonatomic = base.is_nonatomic
-    if nonatomic:
+    if base.is_nonatomic:
         pairs = list(pairs)
         degrees = [sharing_degree(k, n_now, kp) for k, kp, _ in pairs]
         best = max(degrees)
         pairs = [pair for pair, d in zip(pairs, degrees) if d == best]
-    theta = base.theta
     raw = {}
     for k, kp, lw in pairs:
         if extra is not None:
             lw += extra(k, kp)
-        if nonatomic:
-            raw[(k, kp)] = lw + nonatomic_log_coefficient(k, n_now, kp, theta)
+        if base.is_nonatomic:
+            case = reference_case_log(k, n_now, kp, base, alpha_vec)
         else:
-            raw[(k, kp)] = lw + discrete_case_log(k, n_now, kp, alpha_vec, theta)
+            case = discrete_case_log(k, n_now, kp, alpha_vec, base.theta)
+        raw[(k, kp)] = lw + case
     return raw
 
 

@@ -6,12 +6,17 @@ plus one ``<command>.out`` file per command below, written by
 Every case includes ``predict-samples``, so the files also pin the sampling
 streams of ``predictive_sample`` (fv) and ``predict_draw`` (dw) at each
 config's seed, not only the smoothing recursion.
+
+``python tests/test_golden.py --diff`` writes nothing: for each file whose
+bytes would change it prints the number of changed lines and the largest
+relative deviation of the numeric fields in ``FIELDS``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
 import sys
 
@@ -36,6 +41,8 @@ CASES = {
 }
 
 AT = "1"
+
+FIELDS = ("log_weight", "weight", "probability", "rate_offset", "count_mean")
 
 
 def _run(case: str, command: str) -> tuple[int, str]:
@@ -63,11 +70,44 @@ def test_cli_output_matches_golden(case, command, monkeypatch):
         assert text.encode("utf-8") == fh.read()
 
 
+def _deviation(old: str, new: str) -> str:
+    """Changed lines of ``new`` against ``old`` and the largest relative
+    deviation of their FIELDS values; other keys on changed lines are
+    named."""
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    changed = abs(len(old_lines) - len(new_lines))
+    worst, others = 0.0, set()
+    for a, b in zip(old_lines, new_lines):
+        if a == b:
+            continue
+        changed += 1
+        (key, _, x), (new_key, _, y) = a.partition(" "), b.partition(" ")
+        if key != new_key or key not in FIELDS:
+            others.add(key)
+            continue
+        x, y = float(x), float(y)
+        worst = max(worst, abs(y - x) / abs(x) if x else math.inf)
+    text = f"{changed} lines changed, max relative deviation {worst:.3g}"
+    if len(old_lines) != len(new_lines):
+        text += f", {len(old_lines)} -> {len(new_lines)} lines"
+    return text + (f", other keys: {' '.join(sorted(others))}" if others else "")
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] not in ([], ["--diff"]):
+        sys.exit("usage: python tests/test_golden.py [--diff]")
+    diff = sys.argv[1:] == ["--diff"]
     for case, commands in CASES.items():
         for command in commands:
             status, text = _run(case, command)
             if status != 0:
                 sys.exit(f"{case} {command}: exit {status}")
-            with open(os.path.join(GOLDEN, case, f"{command}.out"), "wb") as fh:
+            path = os.path.join(GOLDEN, case, f"{command}.out")
+            if diff:
+                with open(path, "rb") as fh:
+                    old = fh.read().decode("utf-8")
+                if old != text:
+                    print(f"{case}/{command}.out: {_deviation(old, text)}")
+                continue
+            with open(path, "wb") as fh:
                 fh.write(text.encode("utf-8"))

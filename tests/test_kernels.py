@@ -7,6 +7,8 @@ per-pair, per-component and per-label loops to the bit (keys, order and
 values), not merely to a tolerance.
 """
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 
 from helpers import (
     random_dataset,
+    reference_case_log,
     reference_filter,
     reference_predictive_pmf,
     reference_propagate,
@@ -38,6 +41,7 @@ from mvhmm.fv import (
     NEW_LABEL,
     filter_backward,
     filter_forward,
+    nonatomic_log_coefficient,
     predictive_pmf,
     propagate_forward,
     smooth,
@@ -198,3 +202,57 @@ def test_pruning_threshold_is_math_exp():
     pruned = smooth(timeline, 0, base, epsilon)
     assert list(pruned.pair_log_weights.items()) == list(pairs.items())
     assert pruned.law.components == ref_law.components
+
+
+@pytest.mark.parametrize("mode", ["fv", "dw"])
+def test_case_ratio_matches_pochhammer_form(mode):
+    """Under a nonatomic base the case term, a ratio of prior observation
+    scores, is nonatomic_log_coefficient (the paper's Pochhammer form) on
+    every pair of propagated filter components of the criterion-02
+    datasets."""
+    for timeline, base, beta in _criterion_02_datasets(mode, "nonatomic"):
+        alpha_vec = base.alpha_vector(timeline.registry)
+        for i in range(timeline.n_times):
+            n_now = timeline.counts_at(i)
+            first, second = _filters(timeline, i, base, beta)
+            for (_, k), (_, kp) in itertools.product(
+                first.components, second.components
+            ):
+                x = reference_case_log(k, n_now, kp, base, alpha_vec)
+                y = nonatomic_log_coefficient(k, n_now, kp, base.theta)
+                assert abs(x - y) <= 1e-13 * max(1.0, abs(y))
+
+
+def test_case_forms_against_mpmath():
+    """Both forms of the nonatomic case term against 50-digit arithmetic,
+    two types with counts up to 40 in each block."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    counts = (0, 1, 6, 40)
+    rows = [MultiIndex(r) for r in itertools.product(counts, repeat=2)]
+    for theta in (0.3, 2.0, 7.5):
+        base = BaseMeasure(theta)
+        lgamma = functools.lru_cache(maxsize=None)(
+            lambda v: mp.loggamma(mp.mpf(v))
+        )
+        lgamma_theta = functools.lru_cache(maxsize=None)(
+            lambda v: mp.loggamma(mp.mpf(theta) + v)
+        )
+        for k, n, kp in itertools.product(rows, repeat=3):
+            s = k + n + kp
+            exact = (
+                lgamma_theta(k.total)
+                + lgamma_theta(kp.total)
+                + lgamma_theta(n.total)
+                - lgamma_theta(s.total)
+                - 2 * lgamma_theta(0)
+            )
+            for parts, sign in ((s, 1), (k, -1), (n, -1), (kp, -1)):
+                for v in parts:
+                    if v > 0:
+                        exact += sign * lgamma(v)
+            exact = float(exact)
+            bound = 1e-12 * max(1.0, abs(exact))
+            assert abs(reference_case_log(k, n, kp, base, (0.0, 0.0)) - exact) <= bound
+            assert abs(nonatomic_log_coefficient(k, n, kp, theta) - exact) <= bound
+
