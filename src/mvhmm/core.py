@@ -102,6 +102,7 @@ class TypeRegistry:
     labels: tuple[str, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "labels", tuple(self.labels))
         if len(set(self.labels)) != len(self.labels):
             raise DomainError("registry labels must be pairwise distinct")
 
@@ -190,6 +191,12 @@ class ObservationTimeline:
     dw_draws: tuple[tuple[MultiIndex, ...], ...] | None = None
 
     def __post_init__(self):
+        # Held as tuples, so that laws kept per timeline cannot go stale.
+        object.__setattr__(self, "times", tuple(self.times))
+        if self.fv_counts is not None:
+            object.__setattr__(self, "fv_counts", tuple(self.fv_counts))
+        if self.dw_draws is not None:
+            object.__setattr__(self, "dw_draws", tuple(map(tuple, self.dw_draws)))
         if len(self.times) == 0:
             raise DomainError("at least one collection time required")
         for t in self.times:
@@ -290,6 +297,11 @@ def _component_arrays(
     return log_weights, indices.reshape(len(components), k)
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 <= epsilon < 1.0:
+        raise DomainError(f"pruning epsilon must lie in [0, 1), got {epsilon!r}")
+
+
 def _at_least(logs: np.ndarray, epsilon: float) -> np.ndarray:
     """Pruning's keep mask: ``math.exp(lw) >= epsilon`` for each log-weight."""
     return np.array([math.exp(lw) >= epsilon for lw in logs.tolist()], dtype=bool)
@@ -359,6 +371,7 @@ class _MixtureBase:
 
     def pruned(self, epsilon: float):
         """Drop components with normalized weight < epsilon, then renormalize."""
+        _check_epsilon(epsilon)
         if epsilon <= 0.0:
             return self
         log_weights, indices = self._arrays

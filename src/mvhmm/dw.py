@@ -42,6 +42,7 @@ from .fv import (
     _check_size,
     _combine_pairs,
     _filter,
+    _model_key,
     _PairDecomposition,
     _Pairs,
     _PartScores,
@@ -133,6 +134,7 @@ def _dw_filter(timeline, i, base, beta, kappa, backward=False) -> GammaMixtureLa
         update_gamma,
         lambda law, dt: propagate_dw(law, dt, kappa),
         timeline.dw_draws,
+        _model_key(base, beta, kappa),
         backward,
     )
 

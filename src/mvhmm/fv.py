@@ -19,7 +19,10 @@ coefficients, nonatomic_log_coefficient).
 
 The filter loop, lattice spread, pair combination, pruning and predictive
 urn below serve both models: the branching engine (dw.py) passes in its own
-update, propagation and the row score of its total-count pair term.
+update, propagation and the row score of its total-count pair term.  The
+filter loop keeps the laws it meets on each live timeline (the filters at
+t_i are prefixes of those at t_{i+1}), so smoothing every index runs each
+filter step once per direction.
 
 Mixtures enter these kernels as a log-weight vector and an index-row matrix.
 The update scores index rows from per-column tables of the observation
@@ -51,6 +54,7 @@ import functools
 import itertools
 import math
 import numbers
+import threading
 import weakref
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -66,6 +70,7 @@ from .core import (
     TypeRegistry,
     _MixtureBase,
     _at_least,
+    _check_epsilon,
     _normalized,
     logsumexp_1d,
 )
@@ -272,23 +277,53 @@ def propagate_backward(
 # ---------------------------------------------------------------------------
 
 
-def _filter(timeline, i, prior, update, propagate, data, backward=False):
+# id(timeline) -> (model key, forward laws at t_0, t_1, ..., backward laws at
+# t_{T-1}, t_{T-2}, ...); replaced under the lock, dropped by a finalizer.
+_kept: dict[int, tuple] = {}
+_kept_lock = threading.Lock()
+
+
+def _model_key(base: BaseMeasure, *params) -> tuple:
+    """What filter laws depend on besides the timeline (atoms in order)."""
+    atoms = None if base.atom_probs is None else tuple(base.atom_probs.items())
+    return (base.theta, atoms, *params)
+
+
+def _filter(timeline, i, prior, update, propagate, data, key, backward=False):
     """Law of the signal at t_i given the data strictly before t_i (after it
     if ``backward``), for either model: from ``prior``, alternates
     ``update(law, data[j])`` with ``propagate(law, dt)`` towards t_i.
     ``data`` is None when the timeline carries the other model's data.
+
+    The laws met are kept while the timeline lives, under the model ``key``;
+    a call with the same key resumes from the longest kept prefix.  Steps
+    run outside the lock: each law is deterministic, so a lost race costs
+    only recomputation.
     """
     if data is None:
         raise DomainError(f"timeline carries {timeline.mode} data, not this model's")
-    if not 0 <= i < timeline.n_times:
+    _check_size("time index", i)
+    if i >= timeline.n_times:
         raise DomainError(f"time index {i} out of range")
-    times = timeline.times
-    law = prior
-    for j in range(timeline.n_times - 1, i, -1) if backward else range(i):
-        law = update(law, data[j])
+    times, last = timeline.times, timeline.n_times - 1
+    at = last - i if backward else i
+    entry = _kept.get(id(timeline))
+    laws = entry[1 + backward] if entry and entry[0] == key else (prior,)
+    chain = list(laws)
+    while len(chain) <= at:
+        j = last + 1 - len(chain) if backward else len(chain) - 1
+        law = update(chain[-1], data[j])
         dt = times[j] - times[j - 1] if backward else times[j + 1] - times[j]
-        law = propagate(law, dt)
-    return law
+        chain.append(propagate(law, dt))
+    if len(chain) > len(laws):
+        with _kept_lock:
+            entry = _kept.get(id(timeline))
+            if entry is None:
+                weakref.finalize(timeline, _kept.pop, id(timeline), None)
+            chains = list(entry[1:]) if entry and entry[0] == key else [(prior,)] * 2
+            chains[backward] = max(chains[backward], tuple(chain), key=len)
+            _kept[id(timeline)] = (key, *chains)
+    return chain[at]
 
 
 def _fv_filter(timeline, i, base, backward=False) -> DirichletMixtureLaw:
@@ -299,6 +334,7 @@ def _fv_filter(timeline, i, base, backward=False) -> DirichletMixtureLaw:
         update_dirichlet,
         propagate_forward,
         timeline.fv_counts,
+        _model_key(base),
         backward,
     )
 
@@ -580,6 +616,7 @@ def _result_from_pairs(
 
     Returns (pairs, law).
     """
+    _check_epsilon(pruning_epsilon)
     log_weights = _normalized(pairs.log_weights)
     positions = pairs.positions
     if pruning_epsilon > 0.0:

@@ -271,6 +271,23 @@ class TestSmoothDw:
                 assert lw == pytest.approx(f[key], abs=1e-10)
 
 
+@pytest.mark.parametrize("i", [True, 1.0, "1", -1, 3])
+def test_bad_time_index_rejected(reg2, flat2, i):
+    tl = mk_dw_timeline(reg2, (0.0, 0.4, 1.0), [[(1, 0)], [(0, 1), (1, 1)], [(2, 0)]])
+    for call in (filter_forward_dw, filter_backward_dw, filter_posterior_dw, smooth_dw):
+        with pytest.raises(DomainError):
+            call(tl, i, flat2, 1.0)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, -1.0, 1.0])
+def test_bad_pruning_epsilon_rejected(reg2, flat2, epsilon):
+    tl = mk_dw_timeline(reg2, (0.0, 0.4, 1.0), [[(1, 0)], [(0, 1), (1, 1)], [(2, 0)]])
+    with pytest.raises(DomainError):
+        smooth_dw(tl, 1, flat2, 1.0, epsilon)
+    with pytest.raises(DomainError):
+        smooth_dw(tl, 1, flat2, 1.0).law.pruned(epsilon)
+
+
 class TestSeriesOracle:
     def test_smoothing_mean_against_transition_series(self, reg2, flat2):
         # one observed cell evolves independently; its smoothing density can

@@ -645,6 +645,30 @@ def _assert_frequencies(exact, draws, reps):
     return own
 
 
+@pytest.mark.parametrize("i", [True, 1.0, np.float64(1.0), "1", -1, 3])
+def test_bad_time_index_rejected(reg2, flat2, i):
+    tl = mk_timeline(reg2, (0.0, 0.4, 1.0), [(2, 0), (1, 1), (0, 2)])
+    for call in (filter_forward, filter_backward, filter_posterior, smooth):
+        with pytest.raises(DomainError):
+            call(tl, i, flat2)
+
+
+def test_numpy_integer_time_index_accepted(reg2, flat2):
+    tl = mk_timeline(reg2, (0.0, 0.4, 1.0), [(2, 0), (1, 1), (0, 2)])
+    fresh = mk_timeline(reg2, (0.0, 0.4, 1.0), [(2, 0), (1, 1), (0, 2)])
+    result, ref = smooth(tl, np.int64(1), flat2), smooth(fresh, 1, flat2)
+    assert result.pair_log_weights == ref.pair_log_weights
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, -1.0, 1.0, 2.0])
+def test_bad_pruning_epsilon_rejected(reg2, flat2, epsilon):
+    tl = mk_timeline(reg2, (0.0, 0.4, 1.0), [(2, 0), (1, 1), (0, 2)])
+    with pytest.raises(DomainError):
+        smooth(tl, 1, flat2, epsilon)
+    with pytest.raises(DomainError):
+        smooth(tl, 1, flat2).law.pruned(epsilon)
+
+
 def test_filter_requires_fv_timeline(reg2, flat2):
     draws = ((MultiIndex((1, 0)),),)
     tl = ObservationTimeline((0.0,), reg2, dw_draws=draws)

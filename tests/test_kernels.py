@@ -5,11 +5,20 @@ mixture run as array kernels; their filter laws, smoothing laws, pair
 log-weights and predictive pmfs must equal those of the per-lattice-point,
 per-pair, per-component and per-label loops to the bit (keys, order and
 values), not merely to a tolerance.
+
+The filter laws kept per timeline must give the same bits as a fresh
+timeline, in any visiting order and across model parameters, under
+concurrent callers, and must die with their timeline.
 """
 
+import dataclasses
 import functools
+import gc
 import itertools
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -22,17 +31,25 @@ from helpers import (
     reference_propagate,
     reference_smooth,
 )
+from mvhmm import fv
 from mvhmm.core import (
     BaseMeasure,
     DirichletMixtureLaw,
     MultiIndex,
+    ObservationTimeline,
     TypeRegistry,
     _row_codes,
 )
-from mvhmm.dual import FvDualSpec, fv_totals_transition, fv_typed_log_prob
+from mvhmm.dual import (
+    DEFAULT_DW_RATE_CONSTANT,
+    FvDualSpec,
+    fv_totals_transition,
+    fv_typed_log_prob,
+)
 from mvhmm.dw import (
     filter_backward_dw,
     filter_forward_dw,
+    filter_posterior_dw,
     predictive_label_pmf,
     smooth_dw,
 )
@@ -41,6 +58,7 @@ from mvhmm.fv import (
     NEW_LABEL,
     filter_backward,
     filter_forward,
+    filter_posterior,
     nonatomic_log_coefficient,
     predictive_pmf,
     propagate_forward,
@@ -256,3 +274,160 @@ def test_case_forms_against_mpmath():
             assert abs(reference_case_log(k, n, kp, base, (0.0, 0.0)) - exact) <= bound
             assert abs(nonatomic_log_coefficient(k, n, kp, theta) - exact) <= bound
 
+
+def _model_params(base, beta):
+    """Positional model arguments that give distinct filter laws on one
+    timeline: ``base``, one with another theta, one with other atoms
+    (discrete bases only), and for dw also another beta and another kappa."""
+    bases = [base, dataclasses.replace(base, theta=base.theta * 1.5)]
+    if not base.is_nonatomic:
+        halved = {lab: p / 2 for lab, p in base.atom_probs.items()}
+        bases.append(BaseMeasure(base.theta, halved))
+    if beta is None:
+        return [(b,) for b in bases]
+    kappa = DEFAULT_DW_RATE_CONSTANT
+    return [(b, beta, kappa) for b in bases] + [
+        (base, 2 * beta, kappa),
+        (base, beta, 3 * kappa),
+    ]
+
+
+def _kept_calls(beta):
+    """(smoother, filtering law) of the model: beta is None for fv."""
+    if beta is None:
+        return smooth, filter_posterior
+    return (
+        lambda timeline, i, base, beta, kappa: smooth_dw(
+            timeline, i, base, beta, 0.0, kappa
+        ),
+        filter_posterior_dw,
+    )
+
+
+def _same_law(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a._arrays, b._arrays)) and (
+        getattr(a, "rate_offset", None) == getattr(b, "rate_offset", None)
+    )
+
+
+@pytest.mark.parametrize("kind", ["discrete", "nonatomic"])
+@pytest.mark.parametrize("mode", ["fv", "dw"])
+def test_kept_filter_laws_give_the_fresh_bits(mode, kind):
+    """Every index smoothed and filtered on one kept timeline, in forward,
+    reverse and shuffled order and with the model parameters switching
+    between visits, equals the same call on a fresh copy of the timeline."""
+    rng = np.random.default_rng(5)
+    for timeline, base, beta in _criterion_02_datasets(mode, kind):
+        smoother, posterior = _kept_calls(beta)
+        params = _model_params(base, beta)
+        indices = range(timeline.n_times)
+        visits = [(i, p) for p in range(len(params)) for i in indices]
+        visits += [(i, p) for p in range(len(params)) for i in reversed(indices)]
+        visits += [visits[v] for v in rng.permutation(len(visits))]
+        refs = {}
+        for i, p in visits:
+            if (i, p) not in refs:
+                fresh = dataclasses.replace(timeline)
+                refs[i, p] = smoother(fresh, i, *params[p]), posterior(
+                    fresh, i, *params[p]
+                )
+            kept = smoother(timeline, i, *params[p])
+            assert _same_law(kept.law, refs[i, p][0].law)
+            pairs = refs[i, p][0].pair_log_weights
+            assert list(kept.pair_log_weights.items()) == list(pairs.items())
+            assert _same_law(posterior(timeline, i, *params[p]), refs[i, p][1])
+
+
+def _three_type_timeline(n_times, seed):
+    """fv timeline: three types, times 0.3 apart, multinomial(3) counts."""
+    rng = np.random.default_rng(seed)
+    counts = rng.multinomial(3, [1 / 3] * 3, n_times)
+    return ObservationTimeline(
+        tuple(0.3 * t for t in range(n_times)),
+        TypeRegistry(("a", "b", "c")),
+        tuple(MultiIndex(tuple(c)) for c in counts.tolist()),
+    )
+
+
+def test_kept_filter_laws_under_concurrent_callers():
+    """Four threads smooth random indices of one timeline under two bases;
+    every result equals the single-threaded one, and the kept laws are a
+    prefix of the single-threaded filter chain of the key they are kept
+    under."""
+    timeline = _three_type_timeline(7, 2)
+    n = timeline.n_times
+    atoms = {"a": 0.3, "b": 0.3, "c": 0.3}
+    bases = [BaseMeasure(2.0, atoms), BaseMeasure(1.0, atoms)]
+    expected, chains = {}, {}
+    for b, base in enumerate(bases):
+        fresh = dataclasses.replace(timeline)
+        for i in range(n):
+            expected[b, i] = smooth(fresh, i, base).law
+        chains[fv._model_key(base)] = (
+            [filter_forward(fresh, i, base) for i in range(n)],
+            [filter_backward(fresh, i, base) for i in reversed(range(n))],
+        )
+    errors = []
+
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        try:
+            for _ in range(150):
+                b, i = int(rng.integers(2)), int(rng.integers(n))
+                if not _same_law(smooth(timeline, i, bases[b]).law, expected[b, i]):
+                    errors.append((b, i))
+        except Exception as exc:  # a failure in a thread would go unseen
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(s,)) for s in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    key, *kept = fv._kept[id(timeline)]
+    for laws, chain in zip(kept, chains[key]):
+        assert 1 <= len(laws) <= len(chain)
+        assert all(_same_law(a, b) for a, b in zip(laws, chain))
+
+
+def test_kept_filter_laws_die_with_their_timeline():
+    """The kept laws are freed with the timeline, and those of a replaced
+    model key while it lives."""
+    timeline = _three_type_timeline(4, 3)
+    base = BaseMeasure(2.0, {"a": 0.3, "b": 0.3, "c": 0.3})
+    result = smooth(timeline, 3, base)
+    stale = weakref.ref(fv._kept[id(timeline)][1][2])
+    smooth(timeline, 3, dataclasses.replace(base, theta=3.0))
+    gc.collect()
+    assert stale() is None
+    live = weakref.ref(fv._kept[id(timeline)][1][2])
+    key = id(timeline)
+    del timeline
+    gc.collect()
+    assert live() is None
+    assert key not in fv._kept
+    assert result.law.weight_sum() == pytest.approx(1.0)
+
+
+def test_timeline_holds_copies_of_caller_lists():
+    """A timeline built from lists keeps tuples, so changing the lists
+    after a call leaves its data, and so its kept laws, as they were."""
+    times, labels = [0.0, 0.3, 0.6], ["a", "b", "c"]
+    counts = [MultiIndex((1, 0, 2)), MultiIndex((0, 3, 0)), MultiIndex((1, 1, 1))]
+    timeline = ObservationTimeline(times, TypeRegistry(labels), counts)
+    fresh = ObservationTimeline(
+        tuple(times), TypeRegistry(tuple(labels)), tuple(counts)
+    )
+    base = BaseMeasure(2.0, {"a": 0.3, "b": 0.3, "c": 0.3})
+    smooth(timeline, 2, base)
+    times[1], labels[0], counts[0] = 0.5, "z", MultiIndex((3, 0, 0))
+    assert timeline == fresh
+    kept, ref = smooth(timeline, 1, base), smooth(fresh, 1, base)
+    assert kept.pair_log_weights == ref.pair_log_weights
