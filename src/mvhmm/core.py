@@ -2,11 +2,12 @@
 
 All types are immutable value objects after construction; they can be shared
 freely between threads.  Mixture weights live in log domain throughout, and
-components with identical multi-indices are merged (log-sum-exp) when a
-mixture is built by the engines.  A mixture law stores its components only
-as a read-only log-weight vector and int index-row matrix, which the engines
-read and build laws from; ``components``, as (log-weight, MultiIndex) pairs,
-is listed from them on first access for readers outside the engines.
+components with identical multi-indices are merged when a mixture is built,
+by one scatter fold over integer codes of the indices (_merged).  A mixture
+law stores its components only as a read-only log-weight vector and int
+index-row matrix, which the engines read and build laws from; ``components``,
+as (log-weight, MultiIndex) pairs, is listed from them on first access for
+readers outside the engines.
 """
 
 from __future__ import annotations
@@ -146,6 +147,10 @@ class BaseMeasure:
                 raise DomainError(f"atom probabilities sum to {total} > 1")
             object.__setattr__(self, "atom_probs", dict(self.atom_probs))
 
+    def __hash__(self) -> int:  # consistent with __eq__, which compares dicts
+        atoms = None if self.atom_probs is None else frozenset(self.atom_probs.items())
+        return hash((self.theta, atoms))
+
     @property
     def kind(self) -> str:
         return "nonatomic" if self.atom_probs is None else "discrete"
@@ -244,39 +249,50 @@ class ObservationTimeline:
         return len(self.dw_draws[i])
 
 
+def _place_values(radices: np.ndarray) -> np.ndarray | None:
+    """Place values of the mixed radix ``radices``, the last column least
+    significant, or None if its span would pass 2**62."""
+    if math.prod(radices.tolist()) > 2**62:
+        return None
+    return np.cumprod(radices[::-1])[::-1] // radices
+
+
 def _row_codes(rows: np.ndarray) -> np.ndarray:
     """One int64 code per row of the nonnegative integer matrix ``rows``:
     equal rows share a code, and codes order as the rows do
-    lexicographically (mixed radix, the last column least significant)."""
-    codes = np.zeros(len(rows), dtype=np.int64)
-    span = 1
-    for col in rows.T:
-        radix = int(col.max()) + 1 if len(col) else 1
-        if span * radix > 2**62:  # re-rank first so the code cannot overflow
-            uniq, codes = np.unique(codes, return_inverse=True)
-            span = len(uniq)
-        codes = codes * radix + col
-        span *= radix
-    return codes
+    lexicographically (mixed radix, or the rank of the row if that would
+    overflow)."""
+    # column by column: max(axis=0) is slow on narrow matrices
+    radices = np.array([col.max(initial=0) + 1 for col in rows.T], dtype=np.int64)
+    place = _place_values(radices)
+    if place is None:
+        return np.unique(rows, axis=0, return_inverse=True)[1].ravel()
+    return rows @ place
 
 
 def _merged(
-    log_weights: np.ndarray, indices: np.ndarray
+    log_weights: np.ndarray, codes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Components with equal index rows folded into one, sorted
-    lexicographically by index; -inf weights drop.
-
-    Each fold is np.logaddexp over the group in the order it came (a stable
-    sort keeps that order, and reduceat folds left to right).
+    """Components with equal codes (nonnegative ints) folded into one, in
+    code order; groups with no finite weight drop.  Returns the log-weights
+    and the position of one member of each group.  A scatter fold: each
+    group folds by np.logaddexp from its first finite member, left to right
+    (np.logaddexp.at adds in arrival order); sparse codes are ranked first.
     """
-    keep = log_weights != -math.inf
-    log_weights, indices = log_weights[keep], indices[keep]
-    if not len(log_weights):
-        return log_weights, indices
-    codes = _row_codes(indices)
-    order = np.argsort(codes, kind="stable")
-    starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
-    return np.logaddexp.reduceat(log_weights[order], starts), indices[order[starts]]
+    span = int(codes.max()) + 1 if len(codes) else 0
+    if span > 4 * len(codes):
+        uniq, codes = np.unique(codes, return_inverse=True)
+        span = len(uniq)
+    acc = np.full(span, -math.inf)
+    np.logaddexp.at(acc, codes, log_weights)
+    lone = np.signbit(log_weights) & (log_weights == 0.0)
+    if lone.any():  # logaddexp(-inf, -0.0) is +0.0: a lone -0.0 keeps its sign
+        finite = np.bincount(codes[log_weights != -math.inf], minlength=span)
+        acc[codes[lone][finite[codes[lone]] == 1]] = -0.0
+    where = np.empty(span, dtype=np.int64)
+    where[codes] = np.arange(len(codes))
+    groups = np.flatnonzero(acc != -math.inf)
+    return acc[groups], where[groups]
 
 
 def _normalized(log_weights: np.ndarray) -> np.ndarray:
@@ -360,8 +376,12 @@ class _MixtureBase:
 
     def _renewed(self, log_weights, indices, normalize=True, **changes):
         """A copy of this law but for ``changes``, holding the components of
-        the arrays merged and, if ``normalize``, normalized."""
-        log_weights, indices = _merged(log_weights, indices)
+        the arrays merged by index row and, if ``normalize``, normalized."""
+        log_weights, where = _merged(log_weights, _row_codes(indices))
+        return self._built(log_weights, indices[where], normalize, **changes)
+
+    def _built(self, log_weights, indices, normalize=True, **changes):
+        """As _renewed, for components already merged."""
         if normalize:
             log_weights = _normalized(log_weights)
         law = copy.copy(self)

@@ -34,8 +34,10 @@ way, the case term's S being the observation score under the prior.  Each
 scalar term is evaluated once per distinct argument by the scalar function
 that defines it and then gathered, keeping the order of additions of the
 per-component and per-pair formulas below, so the weights are the same
-floats those formulas give.  Smoothing results hold their pairs as arrays
-and build ``pair_log_weights`` on first access.
+floats those formulas give.  Pairs are merged by integer codes of their
+indices k + n + k', summed from codes of k, n and k', and index rows are
+built for the merged components only.  Smoothing results hold their pairs
+as arrays and build ``pair_log_weights`` on first access.
 
 Prediction reads only a law's arrays: the pmfs mix the Polya urns of its
 components, and a sampler picks one component by its weight given the
@@ -71,7 +73,10 @@ from .core import (
     _MixtureBase,
     _at_least,
     _check_epsilon,
+    _merged,
     _normalized,
+    _place_values,
+    _row_codes,
     logsumexp_1d,
 )
 from .dual import DEFAULT_ODE_RTOL, FvDualSpec, _fv_typed_log_probs
@@ -175,7 +180,7 @@ def _rescored(law: _MixtureBase, n: MultiIndex, log_extra=None):
     (log-weights, index rows).
 
     Indices shift by n; log-weights gain ``log_extra(theta + |m|)``, if
-    given, and the observation score.  Components the score rules out drop.
+    given, and the observation score: -inf where it rules a component out.
     """
     base = law.base
     alpha_vec = base.alpha_vector(law.registry)
@@ -190,9 +195,7 @@ def _rescored(law: _MixtureBase, n: MultiIndex, log_extra=None):
         totals = indices.sum(axis=1)
         extra = _table(lambda total: log_extra(base.theta + total), int(totals.max()))
         log_weights = log_weights + extra[totals]
-    keep = scores != -math.inf
-    shifted = indices[keep] + np.array(n.counts, dtype=np.int64)
-    return log_weights[keep] + scores[keep], shifted
+    return log_weights + scores, indices + np.array(n.counts, dtype=np.int64)
 
 
 def update_dirichlet(law: DirichletMixtureLaw, n: MultiIndex) -> DirichletMixtureLaw:
@@ -234,11 +237,9 @@ def _lattices(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _spread(log_weights: np.ndarray, indices: np.ndarray, log_prob):
     """Components spread over the lattice below each index, with transition
     log-probabilities ``log_prob(m, k)`` from index rows m to rows k;
-    impossible moves drop.  Returns (log-weights, index rows)."""
+    impossible moves weigh -inf.  Returns (log-weights, index rows)."""
     owner, points = _lattices(indices)
-    lp = log_prob(indices[owner], points)
-    keep = lp != -math.inf
-    return log_weights[owner][keep] + lp[keep], points[keep]
+    return log_weights[owner] + log_prob(indices[owner], points), points
 
 
 def propagate_forward(
@@ -486,11 +487,22 @@ class _Pairs:
     positions: np.ndarray
     log_weights: np.ndarray
 
-    def indices(self, n_now: MultiIndex) -> np.ndarray:
-        """Mixture index rows k + n_now + k' of the pairs."""
-        rows, cols = np.divmod(self.positions, len(self.future))
+    def indices(self, n_now: MultiIndex, which=slice(None)) -> np.ndarray:
+        """Mixture index rows k + n_now + k' of the pairs (those at ``which``)."""
+        rows, cols = np.divmod(self.positions[which], len(self.future))
         n = np.array(n_now.counts, dtype=np.int64)
         return self.past[rows] + n + self.future[cols]
+
+    def codes(self, n_now: MultiIndex) -> np.ndarray:
+        """Codes of the rows k + n_now + k' ordered as by _row_codes, no row
+        built: in radix max(k_j) + n_j + max(k'_j) + 1 a sum's code is the
+        sum of the codes (rows are built if that span would overflow)."""
+        n = np.array(n_now.counts, dtype=np.int64)
+        place = _place_values(self.past.max(axis=0) + n + self.future.max(axis=0) + 1)
+        if place is None:
+            return _row_codes(self.indices(n_now))
+        outer = (self.past @ place + n @ place)[:, None] + self.future @ place
+        return outer.ravel()[self.positions]
 
     def as_dict(self) -> dict[tuple[MultiIndex, MultiIndex], float]:
         past = list(map(MultiIndex, self.past.tolist()))
@@ -612,7 +624,7 @@ def _result_from_pairs(
     pairs: _Pairs, n_now: MultiIndex, pruning_epsilon: float, law, **changes
 ):
     """Normalize and prune the pair law, then merge it into a copy of the
-    filter law ``law`` but for ``changes``.
+    filter law ``law`` but for ``changes``, by the codes of the pairs.
 
     Returns (pairs, law).
     """
@@ -623,7 +635,8 @@ def _result_from_pairs(
         keep = _at_least(log_weights, pruning_epsilon)
         positions, log_weights = positions[keep], _normalized(log_weights[keep])
     pairs = replace(pairs, positions=positions, log_weights=log_weights)
-    return pairs, law._renewed(log_weights, pairs.indices(n_now), **changes)
+    log_weights, where = _merged(log_weights, pairs.codes(n_now))
+    return pairs, law._built(log_weights, pairs.indices(n_now, where), **changes)
 
 
 def smooth(

@@ -297,6 +297,20 @@ def reference_merge(components):
     return tuple((lw - shift, idx) for lw, idx in out)
 
 
+def reference_sort_fold(log_weights: np.ndarray, codes: np.ndarray):
+    """The merge as a stable sort and a segmented reduce: -inf weights drop,
+    the rest sort stably by code, and np.logaddexp.reduceat folds each run of
+    equal codes left to right from its first member.  Returns the folded
+    log-weights in code order and the position of the first member of each
+    group."""
+    kept = np.flatnonzero(log_weights != -math.inf)
+    order = kept[np.argsort(codes[kept], kind="stable")]
+    if not len(order):
+        return log_weights[order], order
+    starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
+    return np.logaddexp.reduceat(log_weights[order], starts), order[starts]
+
+
 def reference_normalized(raw: dict) -> dict:
     shift = logsumexp_1d(np.array(list(raw.values())))
     return {key: lw - shift for key, lw in raw.items()}

@@ -88,6 +88,13 @@ class TestBaseMeasure:
         with pytest.raises(DomainError):
             base.alpha_vector(registry)
 
+    def test_hash_agrees_with_equality(self):
+        a = BaseMeasure(2.0, {"a": 0.5, "b": 0.25})
+        b = BaseMeasure(2, {"b": 0.25, "a": 0.5})
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, BaseMeasure(2.0), BaseMeasure(2.0)}) == 2
+        assert a != BaseMeasure(2.0, {"a": 0.5, "b": 0.3})
+
     def test_alpha_vector(self):
         base = BaseMeasure(2.0, {"a": 0.5, "b": 0.25})
         reg = TypeRegistry(("a", "b"))

@@ -6,6 +6,10 @@ log-weights and predictive pmfs must equal those of the per-lattice-point,
 per-pair, per-component and per-label loops to the bit (keys, order and
 values), not merely to a tolerance.
 
+The merge is a scatter fold; it must give the floats of the stable sort
+and segmented reduce of helpers.py to the bit, on index-row codes, on the
+pair codes of smoothing, sparse codes and codes of rows that overflow.
+
 The filter laws kept per timeline must give the same bits as a fresh
 timeline, in any visiting order and across model parameters, under
 concurrent callers, and must die with their timeline.
@@ -30,6 +34,7 @@ from helpers import (
     reference_predictive_pmf,
     reference_propagate,
     reference_smooth,
+    reference_sort_fold,
 )
 from mvhmm import fv
 from mvhmm.core import (
@@ -38,6 +43,7 @@ from mvhmm.core import (
     MultiIndex,
     ObservationTimeline,
     TypeRegistry,
+    _merged,
     _row_codes,
 )
 from mvhmm.dual import (
@@ -192,6 +198,113 @@ def test_row_codes_order_rows_lexicographically():
             for q in range(len(keys)):
                 assert (codes[p] < codes[q]) == (keys[p] < keys[q])
                 assert (codes[p] == codes[q]) == (keys[p] == keys[q])
+
+
+def _assert_folds_as_sort(log_weights, codes):
+    """_merged gives the floats of the reference fold, bit for bit, in code
+    order, with one member of each group; returns those members."""
+    folded, where = _merged(log_weights, codes)
+    ref, first = reference_sort_fold(log_weights, codes)
+    assert folded.tobytes() == ref.tobytes()
+    assert codes[where].tolist() == codes[first].tolist()
+    return where, first
+
+
+def test_scatter_fold_equals_sort_fold():
+    rng = np.random.default_rng(5)
+    for size, distinct in ((1, 1), (7, 3), (500, 40), (5000, 4000)):
+        codes = rng.integers(0, distinct, size)
+        log_weights = rng.normal(-3.0, 4.0, size)
+        log_weights[rng.random(size) < 0.05] = 0.0
+        log_weights[rng.random(size) < 0.05] = -0.0
+        _assert_folds_as_sort(log_weights, codes)
+
+
+def test_scatter_fold_skips_minus_inf_members():
+    rng = np.random.default_rng(6)
+    codes = rng.integers(0, 30, 400)
+    log_weights = rng.normal(-3.0, 4.0, 400)
+    log_weights[rng.random(400) < 0.3] = -math.inf
+    heads = [np.flatnonzero(codes == c)[0] for c in np.unique(codes)]
+    log_weights[heads[::2]] = -math.inf  # -inf leads every other group
+    log_weights[codes == codes[heads[1]]] = -math.inf  # and fills one
+    folded, _ = _assert_folds_as_sort(log_weights, codes)
+    assert len(folded) == len(heads) - 1
+    inf = -math.inf
+    for weights, group_codes in (
+        ([inf, -0.0], [0, 0]),
+        ([-0.0, inf, inf], [2, 2, 2]),
+        ([-0.0, -0.0], [1, 1]),
+        ([inf, -0.0, -3.0], [4, 4, 4]),
+        ([inf, inf, 1.0], [3, 3, 1]),
+        ([inf], [0]),
+        ([], []),
+    ):
+        codes = np.array(group_codes, dtype=np.int64)
+        _assert_folds_as_sort(np.array(weights, dtype=float), codes)
+
+
+def test_scatter_fold_ranks_sparse_codes():
+    rng = np.random.default_rng(7)
+    pool = rng.integers(0, 2**61, 50)
+    codes = pool[rng.integers(0, 50, 600)]
+    _assert_folds_as_sort(rng.normal(-3.0, 4.0, 600), codes)
+
+
+def test_scatter_fold_of_overflowing_rows():
+    # the rows of test_row_codes_order_rows_lexicographically, re-ranked
+    # while coded
+    huge = np.array([[2**40, 3, 2**40], [2**40, 2, 2**41], [1, 2**41, 0]] * 2)
+    log_weights = np.array([-1.0, -2.0, -0.0, -3.0, -math.inf, 0.5])
+    where, first = _assert_folds_as_sort(log_weights, _row_codes(huge))
+    assert huge[where].tolist() == huge[first].tolist()
+
+
+def test_lone_minus_zero_weight_keeps_its_sign():
+    law = DirichletMixtureLaw.from_components(
+        [(-0.0, MultiIndex((1,)))],
+        BaseMeasure(1.0),
+        TypeRegistry(("a",)),
+        normalize=False,
+    )
+    assert law._arrays[0].tobytes() == np.array([-0.0]).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["fv", "dw"])
+def test_pair_codes_merge_as_index_rows(mode):
+    subsets = 0
+    for kind in ("discrete", "nonatomic"):
+        datasets = itertools.islice(_criterion_02_datasets(mode, kind), 12)
+        for timeline, base, beta in datasets:
+            for i in range(timeline.n_times):
+                for pruning_epsilon in (0.0, 1e-4, 1e-2):
+                    pairs = _smooth(timeline, i, base, beta, pruning_epsilon)._pairs
+                    grid = len(pairs.past) * len(pairs.future)
+                    subsets += len(pairs.positions) < grid
+                    n_now = timeline.counts_at(i)
+                    rows, codes = pairs.indices(n_now), pairs.codes(n_now)
+                    rank = np.unique(codes, return_inverse=True)[1]
+                    by_row = np.unique(_row_codes(rows), return_inverse=True)[1]
+                    assert rank.tolist() == by_row.tolist()
+                    where, first = _assert_folds_as_sort(pairs.log_weights, codes)
+                    assert rows[where].tolist() == rows[first].tolist()
+    assert subsets > 0
+
+
+def test_pair_codes_fall_back_to_rows_on_overflow():
+    big = 2**21
+    pairs = fv._Pairs(
+        past=np.array([[big, 0, big], [0, big, 1], [3, 3, 3]]),
+        future=np.array([[big, big, 0], [1, 0, 0]]),
+        positions=np.array([0, 1, 2, 3, 5]),
+        log_weights=np.array([-1.0, -0.5, -2.0, -0.0, -3.0]),
+    )
+    n_now = MultiIndex((1, 1, 1))
+    rows, codes = pairs.indices(n_now), pairs.codes(n_now)
+    assert math.prod((rows.max(axis=0) + 1).tolist()) > 2**62
+    assert codes.tolist() == _row_codes(rows).tolist()
+    where, first = _assert_folds_as_sort(pairs.log_weights, codes)
+    assert rows[where].tolist() == rows[first].tolist()
 
 
 def test_pair_log_weights_built_on_first_access():
