@@ -249,25 +249,16 @@ class ObservationTimeline:
         return len(self.dw_draws[i])
 
 
-def _place_values(radices: np.ndarray) -> np.ndarray | None:
-    """Place values of the mixed radix ``radices``, the last column least
-    significant, or None if its span would pass 2**62."""
-    if math.prod(radices.tolist()) > 2**62:
-        return None
-    return np.cumprod(radices[::-1])[::-1] // radices
-
-
 def _row_codes(rows: np.ndarray) -> np.ndarray:
     """One int64 code per row of the nonnegative integer matrix ``rows``:
     equal rows share a code, and codes order as the rows do
-    lexicographically (mixed radix, or the rank of the row if that would
-    overflow)."""
+    lexicographically (mixed radix, the last column least significant, or
+    the rank of the row if the span would pass 2**62)."""
     # column by column: max(axis=0) is slow on narrow matrices
     radices = np.array([col.max(initial=0) + 1 for col in rows.T], dtype=np.int64)
-    place = _place_values(radices)
-    if place is None:
+    if math.prod(radices.tolist()) > 2**62:
         return np.unique(rows, axis=0, return_inverse=True)[1].ravel()
-    return rows @ place
+    return rows @ (np.cumprod(radices[::-1])[::-1] // radices)
 
 
 def _merged(
@@ -340,6 +331,9 @@ class _MixtureBase:
 
     def __post_init__(self):
         self._store(*_component_arrays(vars(self).pop("components"), self.registry.k))
+        total = self.weight_sum()
+        if not abs(total - 1.0) <= NORMALIZATION_TOL:
+            raise DomainError(f"component weights sum to {total!r}, not 1")
 
     def _store(self, log_weights: np.ndarray, indices: np.ndarray, **changes):
         """Set ``changes`` and the arrays, checked: every law is built here."""

@@ -385,17 +385,3 @@ def _fv_typed_log_probs(
     for j in range(m.shape[1]):
         out = out + binom[m[:, j], k[:, j]]
     return out
-
-
-def _dw_typed_log_probs(
-    spec: DwDualSpec, m: np.ndarray, k: np.ndarray, t: float
-) -> np.ndarray:
-    """dw_typed_log_prob from each row of ``m`` to the matching row of ``k``
-    (rows with k <= m), with the same floats, gathered from a table of
-    log_binom_pmf at the one survival probability."""
-    q = dw_survival_prob(spec, t)
-    binom = _triangle(int(m.max(initial=0)), lambda n, j: log_binom_pmf(j, n, q))
-    out = np.zeros(len(m))
-    for j in range(m.shape[1]):
-        out = out + binom[m[:, j], k[:, j]]
-    return out

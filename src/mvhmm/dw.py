@@ -5,9 +5,12 @@ Conditional laws are finite mixtures of gamma random-measure laws sharing a
 single rate offset: updates add the draw cardinality to the offset and shift
 indices by the observed totals; propagation thins every component's index
 binomially and moves the offset along the deterministic cardinality flow.
-Smoothing weights combine the thinning transition probabilities with a
-total-count marginal ratio and the per-type allocation case term; the filter
-loop, pair combination, pruning and urn are the Dirichlet engine's (fv.py).
+Thinning is independent per type, so propagation runs on the dense box of
+indices up to the largest of each type, in the log domain, as one
+contraction per type with a table of binomial log-pmfs.  Smoothing weights
+combine the thinned filter weights with a total-count marginal ratio and the
+per-type allocation case term; the filter loop, pair combination, pruning
+and urn are the Dirichlet engine's (fv.py).
 
 A further draw mixes over components: given one, the size is negative
 binomial and, independently, the elements follow its Polya urn.  The pmfs
@@ -33,28 +36,30 @@ from .core import (
 from .dual import (
     DEFAULT_DW_RATE_CONSTANT,
     DwDualSpec,
-    _dw_typed_log_probs,
+    _triangle,
     c_flow,
+    dw_survival_prob,
 )
 from .errors import DomainError
 from .fv import (
+    _box,
     _case_score,
+    _cells,
     _check_size,
-    _combine_pairs,
     _filter,
+    _log_contracted,
     _model_key,
     _PairDecomposition,
     _Pairs,
     _PartScores,
     _pick,
     _rescored,
-    _result_from_pairs,
-    _spread,
+    _smoothed,
     _table,
     _urn_draws,
     _urn_pmf,
 )
-from .specfun import log_gamma_marginal, log_neg_bin_pmf
+from .specfun import log_binom_pmf, log_gamma_marginal, log_neg_bin_pmf
 
 __all__ = [
     "DwSmoothingResult",
@@ -107,18 +112,26 @@ def propagate_dw(
 ) -> GammaMixtureLaw:
     """Law of the signal an interval dt away (either direction).
 
-    Components thin binomially with the per-lineage survival probability and
-    the rate offset moves along the cardinality flow.  Backward and forward
-    propagation coincide on these laws, so a single operation serves both
-    recursions.
+    Components thin binomially with the per-lineage survival probability q
+    and the rate offset moves along the cardinality flow.  Backward and
+    forward propagation coincide on these laws, so a single operation serves
+    both recursions.  Thinning is independent per type, so it runs on the box
+    of shape max_j + 1 as one contraction per axis with the table of binomial
+    log-pmfs at q.
     """
     if not 0.0 <= dt < math.inf:
         raise DomainError(f"time step must be finite and >= 0, got {dt}")
     if dt == 0.0:
         return law
     spec = DwDualSpec(law.base.theta, law.beta, law.rate_offset, kappa)
-    comps = _spread(*law._arrays, lambda m, k: _dw_typed_log_probs(spec, m, k, dt))
-    return law._renewed(*comps, rate_offset=c_flow(law.beta, law.rate_offset, dt))
+    q = dw_survival_prob(spec, dt)
+    log_weights, indices = law._arrays
+    side = (indices.max(axis=0) + 1).tolist()
+    box = _box(log_weights, indices, side)
+    binom = _triangle(max(side) - 1, lambda m, k: log_binom_pmf(k, m, q))
+    for j, s in enumerate(side):
+        box = _log_contracted(box, binom[:s, :s], j)
+    return law._built(*_cells(box), rate_offset=c_flow(law.beta, law.rate_offset, dt))
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +242,7 @@ def smooth_dw(
         _total_count_scores(v1.rate_offset, c_now, v2.rate_offset, base.theta, beta),
         _case_score(base, timeline.registry),
     ]
-    pairs = _combine_pairs(v1._arrays, v2._arrays, n_now, base, scores)
-    pairs, law = _result_from_pairs(
-        pairs, n_now, pruning_epsilon, v1, rate_offset=offset
-    )
+    pairs, law = _smoothed(v1, v2, n_now, scores, pruning_epsilon, rate_offset=offset)
     return DwSmoothingResult(n_now, c_now, law, pairs)
 
 

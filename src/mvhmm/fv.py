@@ -15,29 +15,32 @@ finer discretizations: components that fail to carry an atom for a type
 observed at more than one collection time are suppressed by a vanishing
 factor and drop out, while the surviving ones keep the ratio at zero atom
 mass, each type contributing lgamma of its count (the paper's factorial
-coefficients, nonatomic_log_coefficient).
+coefficients).
 
-The filter loop, lattice spread, pair combination, pruning and predictive
-urn below serve both models: the branching engine (dw.py) passes in its own
-update, propagation and the row score of its total-count pair term.  The
-filter loop keeps the laws it meets on each live timeline (the filters at
-t_i are prefixes of those at t_{i+1}), so smoothing every index runs each
-filter step once per direction.
+The filter loop, pair combination, pruning and predictive urn below serve
+both models: the branching engine (dw.py) passes in its own update,
+propagation and the row score of its total-count pair term.  The filter loop
+keeps the laws it meets on each live timeline (the filters at t_i are
+prefixes of those at t_{i+1}), so smoothing every index runs each filter
+step once per direction.
 
 Mixtures enter these kernels as a log-weight vector and an index-row matrix.
 The update scores index rows from per-column tables of the observation
-score's terms; the lattice spread builds every lattice point at once and
-gathers transition log-probabilities from tables; the pair combination
-scores all forward x backward pairs by broadcasting, every pair term as one
-ratio S(k + n + k') - S(k) - S(n) - S(k') of row scores gathered the same
-way, the case term's S being the observation score under the prior.  Each
-scalar term is evaluated once per distinct argument by the scalar function
-that defines it and then gathered, keeping the order of additions of the
-per-component and per-pair formulas below, so the weights are the same
-floats those formulas give.  Pairs are merged by integer codes of their
-indices k + n + k', summed from codes of k, n and k', and index rows are
-built for the merged components only.  Smoothing results hold their pairs
-as arrays and build ``pair_log_weights`` on first access.
+score's terms; fv propagation builds every lattice point at once and gathers
+transition log-probabilities from tables.  Each scalar term is evaluated
+once per distinct argument by the scalar function that defines it and then
+gathered, keeping the order of additions of the per-component formulas, so
+fv filter laws are the same floats those formulas give.
+
+The pair combination runs on dense boxes in the log domain.  Every pair
+term is one ratio S(k + n + k') - S(k) - S(n) - S(k') of row scores, the
+case term's S being the observation score under the prior; it splits into
+a factor of k, one of k' and one of the component index k + n + k'.  The
+first two go onto the filter weights, which are folded over the box of sums
+k + k' (one lattice convolution, np.logaddexp slab by slab); the third is
+added cell by cell.  The finite cells of the box, read in C order, are the
+merged smoothing law in canonical order.  Smoothing results build
+``pair_log_weights`` from the same factors on first access.
 
 Prediction reads only a law's arrays: the pmfs mix the Polya urns of its
 components, and a sampler picks one component by its weight given the
@@ -59,7 +62,7 @@ import numbers
 import threading
 import weakref
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -73,15 +76,11 @@ from .core import (
     _MixtureBase,
     _at_least,
     _check_epsilon,
-    _merged,
     _normalized,
-    _place_values,
-    _row_codes,
     logsumexp_1d,
 )
 from .dual import DEFAULT_ODE_RTOL, FvDualSpec, _fv_typed_log_probs
 from .errors import AllWeightsZero, DomainError
-from .specfun import log_dir_cat, log_pochhammer
 
 __all__ = [
     "NEW_LABEL",
@@ -96,9 +95,6 @@ __all__ = [
     "smooth",
     "predictive_pmf",
     "predictive_sample",
-    "sharing_degree",
-    "nonatomic_log_coefficient",
-    "discrete_case_log",
     "observation_log_score",
 ]
 
@@ -419,115 +415,44 @@ class SharedAtomSets:
         )
 
 
-def sharing_degree(k: MultiIndex, n: MultiIndex, kp: MultiIndex) -> int:
-    """Number of cross-block coincidences of types in (k, n, kp).
-
-    Each type contributes (number of positive blocks - 1); components whose
-    degree is below the achievable maximum carry weights of smaller order in
-    the discretization limit and vanish under a nonatomic base measure.
-    """
-    d = 0
-    for kj, nj, pj in zip(k, n, kp):
-        pos = (kj > 0) + (nj > 0) + (pj > 0)
-        if pos > 1:
-            d += pos - 1
-    return d
-
-
-def nonatomic_log_coefficient(
-    k: MultiIndex, n: MultiIndex, kp: MultiIndex, theta: float
-) -> float:
-    """Leading-order weight coefficient in the nonatomic regime.
-
-    Pochhammer factor theta^(|k|) theta^(|kp|) / (theta+|n|)^(|k|+|kp|)
-    times, for every type, (k+n+kp-1)! / ((k-1)!(n-1)!(kp-1)!) with zero
-    counts contributing empty products.
-    """
-    out = (
-        log_pochhammer(theta, k.total)
-        + log_pochhammer(theta, kp.total)
-        - log_pochhammer(theta + n.total, k.total + kp.total)
-    )
-    for kj, nj, pj in zip(k, n, kp):
-        s = kj + nj + pj
-        if s > 0:
-            out += math.lgamma(s)
-        if kj > 0:
-            out -= math.lgamma(kj)
-        if nj > 0:
-            out -= math.lgamma(nj)
-        if pj > 0:
-            out -= math.lgamma(pj)
-    return out
-
-
-def discrete_case_log(
-    k: MultiIndex,
-    n: MultiIndex,
-    kp: MultiIndex,
-    alpha_vec: tuple[float, ...],
-    theta: float,
-) -> float:
-    s = [a + b + c for a, b, c in zip(k, n, kp)]
-    return (
-        log_dir_cat(s, alpha_vec, total=theta)
-        - log_dir_cat(k.counts, alpha_vec, total=theta)
-        - log_dir_cat(n.counts, alpha_vec, total=theta)
-        - log_dir_cat(kp.counts, alpha_vec, total=theta)
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class _Pairs:
-    """Log-weights of retained pairs (k, k'): k a row of ``past``, k' a row
-    of ``future``, at flat positions into past x future (row-major)."""
+    """Retained pairs (k, k'): k a row of ``past`` weighing ``u``, k' a row of
+    ``future`` weighing ``v``.  A pair's normalized log-weight is
+    u + v + f[k + k'] - log_z; with a positive ``epsilon`` the pairs it keeps
+    (see _pair_fold) are renormalized.  ``count`` pairs are kept."""
 
     past: np.ndarray
+    u: np.ndarray
     future: np.ndarray
-    positions: np.ndarray
-    log_weights: np.ndarray
-
-    def indices(self, n_now: MultiIndex, which=slice(None)) -> np.ndarray:
-        """Mixture index rows k + n_now + k' of the pairs (those at ``which``)."""
-        rows, cols = np.divmod(self.positions[which], len(self.future))
-        n = np.array(n_now.counts, dtype=np.int64)
-        return self.past[rows] + n + self.future[cols]
-
-    def codes(self, n_now: MultiIndex) -> np.ndarray:
-        """Codes of the rows k + n_now + k' ordered as by _row_codes, no row
-        built: in radix max(k_j) + n_j + max(k'_j) + 1 a sum's code is the
-        sum of the codes (rows are built if that span would overflow)."""
-        n = np.array(n_now.counts, dtype=np.int64)
-        place = _place_values(self.past.max(axis=0) + n + self.future.max(axis=0) + 1)
-        if place is None:
-            return _row_codes(self.indices(n_now))
-        outer = (self.past @ place + n @ place)[:, None] + self.future @ place
-        return outer.ravel()[self.positions]
+    v: np.ndarray
+    f: np.ndarray
+    log_z: float
+    epsilon: float
+    count: int
 
     def as_dict(self) -> dict[tuple[MultiIndex, MultiIndex], float]:
+        a, b = self.past, self.future
+        sums = tuple(a[:, None, j] + b[None, :, j] for j in range(a.shape[1]))
+        lw = ((self.u[:, None] + self.v[None, :]) + self.f[sums] - self.log_z).ravel()
+        positions = np.arange(len(lw))
+        if self.epsilon > 0.0:
+            positions = np.flatnonzero(_at_least(lw, self.epsilon))
+            lw = _normalized(lw[positions])
         past = list(map(MultiIndex, self.past.tolist()))
         future = list(map(MultiIndex, self.future.tolist()))
-        rows, cols = np.divmod(self.positions, len(self.future))
-        weights = self.log_weights.tolist()
+        rows, cols = np.divmod(positions, len(self.future))
         return {
-            (past[i], future[j]): lw
-            for i, j, lw in zip(rows.tolist(), cols.tolist(), weights)
+            (past[i], future[j]): w
+            for i, j, w in zip(rows.tolist(), cols.tolist(), lw.tolist())
         }
 
 
-def _sharing_degrees(a: np.ndarray, n: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sharing_degree of every pair (row of a, row of b), as an |a| x |b| grid."""
-    degrees = 0
-    for j in range(len(n)):
-        pos = (a[:, j, None] > 0).astype(int) + int(n[j] > 0) + (b[None, :, j] > 0)
-        degrees = degrees + np.maximum(pos - 1, 0)
-    return np.broadcast_to(degrees, (len(a), len(b)))
-
-
 class _PartScores(NamedTuple):
-    """Row score S of each part of a pair ratio (see _ratio_terms), mapping
-    the columns of rows (as in _row_scores) to S of those rows: for the sums
-    k + n + k', the forward row k, the current counts n, the backward row k'."""
+    """Row score S of each part of a pair ratio S(k + n + k') - S(k) - S(n)
+    - S(k'), mapping the columns of rows (as in _row_scores) to S of those
+    rows: for the sums k + n + k', the forward row k, the current counts n,
+    the backward row k'."""
 
     sums: Callable
     past: Callable
@@ -535,23 +460,13 @@ class _PartScores(NamedTuple):
     future: Callable
 
 
-def _ratio_terms(a, n, b, score: _PartScores) -> np.ndarray:
-    """S(k + n + k') - S(k) - S(n) - S(k') for every pair (k a row of a, k'
-    a row of b), as an |a| x |b| grid.  The sums are passed one column at a
-    time."""
-    sums = (a[:, None, j] + n[j] + b[None, :, j] for j in range(len(n)))
-    at_sums = score.sums(sums)
-    at_past, at_now = score.past(a.T)[:, None], score.now(n[:, None])
-    return ((at_sums - at_past) - at_now) - score.future(b.T)[None, :]
-
-
 def _case_score(base: BaseMeasure, registry: TypeRegistry) -> _PartScores:
     """Row score of the case term, the same for every part: the observation
     score of a row r under the prior, _score_term(j, 0, r_j) summed over the
     types plus _total_term(theta, |r|).  Under a discrete base this is
     log_dir_cat(r); under a nonatomic one (alpha = 0) the per-type term is
-    lgamma(r_j), the discretization limit, and the ratio is
-    nonatomic_log_coefficient."""
+    lgamma(r_j), the discretization limit, and the ratio is the paper's
+    factorial coefficient."""
     alpha_vec = base.alpha_vector(registry)
     carriers = (False,) * registry.k
 
@@ -564,27 +479,104 @@ def _case_score(base: BaseMeasure, registry: TypeRegistry) -> _PartScores:
     return _PartScores(score, score, score, score)
 
 
-def _combine_pairs(first, second, n_now: MultiIndex, base: BaseMeasure, scores):
-    """Unnormalized pair log-weights from propagated filter components,
-    each given as (log-weights, index rows).
+def _box(log_weights: np.ndarray, indices: np.ndarray, shape) -> np.ndarray:
+    """Array of ``shape`` holding at the cell of each index row its
+    log-weight (those of equal rows folded by np.logaddexp in order), -inf
+    at every other cell."""
+    box = np.full(shape, -math.inf)
+    np.logaddexp.at(box, tuple(indices.T), log_weights)
+    return box
 
-    Every pair term is a ratio of row scores (see _ratio_terms), added in
-    the order of ``scores`` after the filter weights: the case term, and
-    for the branching model first its total-count marginal ratio.  Under a
-    nonatomic base measure only the pairs of maximal sharing degree survive
-    the discretization limit.
+
+def _cells(box: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The finite cells of ``box`` as (log-weights, index rows), in C order,
+    which is the order of _row_codes."""
+    flat = box.reshape(-1)
+    where = np.flatnonzero(flat != -math.inf)
+    return flat[where], np.stack(np.unravel_index(where, box.shape), axis=1)
+
+
+def _log_contracted(box: np.ndarray, table: np.ndarray, axis: int) -> np.ndarray:
+    """log sum_m exp(box[..., m, ...] + table[m, k]) at every k along
+    ``axis``: each sum shifted by its largest term, -inf where every term is."""
+    terms = np.expand_dims(box, axis + 1) + table.reshape(
+        table.shape + (1,) * (box.ndim - axis - 1)
+    )
+    top = terms.max(axis=axis)
+    finite = top != -math.inf
+    shift = np.where(finite, top, 0.0)
+    sums = np.exp(terms - np.expand_dims(shift, axis)).sum(axis=axis)
+    return np.log(sums, out=np.full_like(sums, -math.inf), where=finite) + shift
+
+
+def _sliced(w: np.ndarray, rows: np.ndarray, other: np.ndarray, n: np.ndarray):
+    """(log-weights ``w``, index ``rows``) less the rows of lower sharing
+    degree: those with a zero count of a type that some row carries and that
+    ``n`` or some row of ``other`` carries too.  On filter laws, whose rows
+    fill their box, the pairs of the rows kept are those of maximal sharing
+    degree."""
+    shared = (rows.max(axis=0) > 0) & ((n > 0) | (other.max(axis=0) > 0))
+    keep = (rows[:, shared] > 0).all(axis=1)
+    return w[keep], rows[keep]
+
+
+def _pair_fold(u, a, v, b, f, log_z=0.0, epsilon=0.0):
+    """log sum exp(u[k] + v[k']) over the pairs (k a row of ``a``, k' a row
+    of ``b``) at each cell k + k' of the box of ``f``: one slab per row of
+    the shorter, folded in by np.logaddexp.  With a positive ``epsilon`` a
+    pair is left out when math.exp of its normalized log-weight
+    u + v + f - log_z is below it.  Returns the box and the pairs folded."""
+    if len(a) > len(b):
+        u, a, v, b = v, b, u, a
+    side = (b.max(axis=0) + 1).tolist()
+    slab = _box(v, b, side)
+    out = np.full(f.shape, -math.inf)
+    count = 0 if epsilon > 0.0 else len(a) * len(b)
+    for x, k in zip(u.tolist(), a.tolist()):
+        window = tuple(slice(kj, kj + s) for kj, s in zip(k, side))
+        terms = slab + x
+        if epsilon > 0.0:
+            lw = (terms + f[window] - log_z).ravel()
+            kept = _at_least(lw, epsilon).reshape(terms.shape)
+            terms[~kept] = -math.inf
+            count += int(np.count_nonzero(kept))
+        np.logaddexp(out[window], terms, out=out[window])
+    return out, count
+
+
+def _smoothed(first, second, n_now: MultiIndex, scores, epsilon: float, **changes):
+    """Smoothing law from the propagated filter laws ``first`` and
+    ``second``, as (pairs, a copy of ``first`` but for ``changes``).
+
+    Every pair term is a ratio of row scores S(k + n + k') - S(k) - S(n)
+    - S(k'), one per ``scores`` (the case term, and for the branching model
+    its total-count marginal ratio).  It splits as F(k + n + k') + G(k)
+    + H(k'): u = w1 + G on the forward rows and v = w2 + H on the backward
+    ones are folded over the box of sums k + k' (one lattice convolution),
+    then F is added.  Under a nonatomic base measure only the pairs of
+    maximal sharing degree survive the discretization limit (_sliced).
+    Pruning drops pairs as a mask of the same fold.
     """
-    (lw1, a), (lw2, b) = first, second
+    _check_epsilon(epsilon)
+    (u, a), (v, b) = first._arrays, second._arrays
     n = np.array(n_now.counts, dtype=np.int64)
-    lw = lw1[:, None] + lw2[None, :]
     for score in scores:
-        lw = lw + _ratio_terms(a, n, b, score)
-    if base.is_nonatomic:
-        degrees = _sharing_degrees(a, n, b).ravel()
-        positions = np.flatnonzero(degrees == degrees.max())
-    else:
-        positions = np.arange(lw.size)
-    return _Pairs(a, b, positions, lw.ravel()[positions])
+        u, v = u - score.past(a.T), v - score.future(b.T)
+    if first.base.is_nonatomic:
+        (u, a), (v, b) = _sliced(u, a, b, n), _sliced(v, b, a, n)
+    if not (len(a) and len(b)):
+        raise AllWeightsZero("no pair of filter components has maximal sharing degree")
+    grid = np.indices(tuple(a.max(axis=0) + b.max(axis=0) + 1), sparse=True)
+    sums = [g + nj for g, nj in zip(grid, n)]
+    f = sum(score.sums(sums) - score.now(n[:, None]) for score in scores)
+    box, count = _pair_fold(u, a, v, b, f)
+    log_weights, rows = _cells(box + f)
+    log_z = logsumexp_1d(log_weights)
+    if epsilon > 0.0:
+        box, count = _pair_fold(u, a, v, b, f, log_z, epsilon)
+        log_weights, rows = _cells(box + f)
+    pairs = _Pairs(a, u, b, v, f, log_z, epsilon, count)
+    return pairs, first._built(log_weights, rows + n, **changes)
 
 
 class _PairDecomposition:
@@ -600,7 +592,7 @@ class _PairDecomposition:
 
     @property
     def component_count(self) -> int:
-        return len(self._pairs.log_weights)
+        return self._pairs.count
 
     def pair_weights(self) -> dict[tuple[MultiIndex, MultiIndex], float]:
         return {pair: math.exp(lw) for pair, lw in self.pair_log_weights.items()}
@@ -618,25 +610,6 @@ class FvSmoothingResult(_PairDecomposition):
     n_now: MultiIndex
     law: DirichletMixtureLaw
     _pairs: _Pairs = field(repr=False)
-
-
-def _result_from_pairs(
-    pairs: _Pairs, n_now: MultiIndex, pruning_epsilon: float, law, **changes
-):
-    """Normalize and prune the pair law, then merge it into a copy of the
-    filter law ``law`` but for ``changes``, by the codes of the pairs.
-
-    Returns (pairs, law).
-    """
-    _check_epsilon(pruning_epsilon)
-    log_weights = _normalized(pairs.log_weights)
-    positions = pairs.positions
-    if pruning_epsilon > 0.0:
-        keep = _at_least(log_weights, pruning_epsilon)
-        positions, log_weights = positions[keep], _normalized(log_weights[keep])
-    pairs = replace(pairs, positions=positions, log_weights=log_weights)
-    log_weights, where = _merged(log_weights, pairs.codes(n_now))
-    return pairs, law._built(log_weights, pairs.indices(n_now, where), **changes)
 
 
 def smooth(
@@ -657,8 +630,7 @@ def smooth(
     v2 = filter_backward(timeline, i, base)
     n_now = timeline.fv_counts[i]
     case = _case_score(base, timeline.registry)
-    pairs = _combine_pairs(v1._arrays, v2._arrays, n_now, base, [case])
-    pairs, law = _result_from_pairs(pairs, n_now, pruning_epsilon, v1)
+    pairs, law = _smoothed(v1, v2, n_now, [case], pruning_epsilon)
     return FvSmoothingResult(n_now, law, pairs)
 
 

@@ -3,8 +3,10 @@
 The scalar reference engine at the end (``reference_spread``,
 ``reference_combine_pairs``, ``reference_merge``, the filters and smoother
 built from them, and ``reference_predictive_pmf``) makes one Python call per
-lattice point, per pair, per component and per label.  The engine's array
-kernels must reproduce its floats exactly.
+lattice point, per pair, per component and per label.  The engine's fv
+filter laws and predictive pmfs must reproduce its floats exactly; dw
+propagation and the pair combination reorder sums, so their laws and pair
+weights must agree with it to ``assert_law_close``'s tolerance.
 """
 
 from __future__ import annotations
@@ -36,14 +38,32 @@ from mvhmm.errors import AllWeightsZero
 from mvhmm.fv import (
     NEW_LABEL,
     SharedAtomSets,
-    discrete_case_log,
-    nonatomic_log_coefficient,
     observation_log_score,
     propagate_forward,
-    sharing_degree,
     update_dirichlet,
 )
-from mvhmm.specfun import log_gamma_marginal, log_neg_bin_pmf
+from mvhmm.specfun import (
+    log_dir_cat,
+    log_gamma_marginal,
+    log_neg_bin_pmf,
+    log_pochhammer,
+)
+
+
+def assert_law_close(law, ref, rel=1e-13):
+    """``law`` and ``ref`` list the same components in the same order, with
+    the same rate offset (gamma laws), and log-weights within
+    rel * max(1, |x|) of each other.  Pair log-weight dicts (keys (k, k'))
+    compare the same way."""
+    if isinstance(law, dict):
+        items, ref_items = list(law.items()), list(ref.items())
+    else:
+        assert getattr(law, "rate_offset", None) == getattr(ref, "rate_offset", None)
+        items = [(idx, lw) for lw, idx in law.components]
+        ref_items = [(idx, lw) for lw, idx in ref.components]
+    assert [key for key, _ in items] == [key for key, _ in ref_items]
+    for (key, x), (_, y) in zip(items, ref_items):
+        assert abs(x - y) <= rel * max(1.0, abs(y)), (key, x, y)
 
 
 def random_dataset(rng: np.random.Generator, mode: str, base_kind: str):
@@ -266,6 +286,66 @@ def reference_smooth_pairs_dw(
 # ---------------------------------------------------------------------------
 # scalar reference engine
 # ---------------------------------------------------------------------------
+
+
+def sharing_degree(k: MultiIndex, n: MultiIndex, kp: MultiIndex) -> int:
+    """Number of cross-block coincidences of types in (k, n, kp).
+
+    Each type contributes (number of positive blocks - 1); components whose
+    degree is below the achievable maximum carry weights of smaller order in
+    the discretization limit and vanish under a nonatomic base measure.
+    """
+    d = 0
+    for kj, nj, pj in zip(k, n, kp):
+        pos = (kj > 0) + (nj > 0) + (pj > 0)
+        if pos > 1:
+            d += pos - 1
+    return d
+
+
+def nonatomic_log_coefficient(
+    k: MultiIndex, n: MultiIndex, kp: MultiIndex, theta: float
+) -> float:
+    """Leading-order weight coefficient in the nonatomic regime.
+
+    Pochhammer factor theta^(|k|) theta^(|kp|) / (theta+|n|)^(|k|+|kp|)
+    times, for every type, (k+n+kp-1)! / ((k-1)!(n-1)!(kp-1)!) with zero
+    counts contributing empty products.
+    """
+    out = (
+        log_pochhammer(theta, k.total)
+        + log_pochhammer(theta, kp.total)
+        - log_pochhammer(theta + n.total, k.total + kp.total)
+    )
+    for kj, nj, pj in zip(k, n, kp):
+        s = kj + nj + pj
+        if s > 0:
+            out += math.lgamma(s)
+        if kj > 0:
+            out -= math.lgamma(kj)
+        if nj > 0:
+            out -= math.lgamma(nj)
+        if pj > 0:
+            out -= math.lgamma(pj)
+    return out
+
+
+def discrete_case_log(
+    k: MultiIndex,
+    n: MultiIndex,
+    kp: MultiIndex,
+    alpha_vec: tuple[float, ...],
+    theta: float,
+) -> float:
+    """The case term of one pair under a discrete base: a ratio of
+    Dirichlet-categorical marginals."""
+    s = [a + b + c for a, b, c in zip(k, n, kp)]
+    return (
+        log_dir_cat(s, alpha_vec, total=theta)
+        - log_dir_cat(k.counts, alpha_vec, total=theta)
+        - log_dir_cat(n.counts, alpha_vec, total=theta)
+        - log_dir_cat(kp.counts, alpha_vec, total=theta)
+    )
 
 
 def gamma_ratio_log(

@@ -122,18 +122,19 @@ class TestTimeline:
 class TestNormalize:
     def test_single_component(self, registry):
         base = BaseMeasure(1.0)
-        law = DirichletMixtureLaw(
-            ((-3.2, MultiIndex((0, 0, 0))),), base, registry
+        law = DirichletMixtureLaw.from_components(
+            ((-3.2, MultiIndex((0, 0, 0))),), base, registry, normalize=False
         )
         out = normalize(law)
         assert out.components[0][0] == pytest.approx(0.0, abs=1e-14)
 
     def test_two_equal(self, registry):
         base = BaseMeasure(1.0)
-        law = DirichletMixtureLaw(
+        law = DirichletMixtureLaw.from_components(
             ((-5.0, MultiIndex((0, 0, 0))), (-5.0, MultiIndex((1, 0, 0)))),
             base,
             registry,
+            normalize=False,
         )
         out = normalize(law)
         for lw, _ in out.components:
@@ -146,17 +147,19 @@ class TestNormalize:
             (math.log(w) - 7.0, MultiIndex((j, 0, 0)))
             for j, w in enumerate((0.2, 0.3, 0.5))
         )
-        out = normalize(DirichletMixtureLaw(comps, base, registry))
+        law = DirichletMixtureLaw.from_components(
+            comps, base, registry, normalize=False
+        )
+        out = normalize(law)
         weights = sorted(out.weights().values())
         assert np.allclose(weights, [0.2, 0.3, 0.5], atol=1e-14)
 
     def test_all_zero(self, registry):
         base = BaseMeasure(1.0)
-        law = DirichletMixtureLaw(
-            ((-math.inf, MultiIndex((0, 0, 0))),), base, registry
-        )
         with pytest.raises(AllWeightsZero):
-            normalize(law)
+            DirichletMixtureLaw.from_components(
+                ((-math.inf, MultiIndex((0, 0, 0))),), base, registry
+            )
 
     def test_canonical_order_and_merge(self, registry):
         base = BaseMeasure(1.0)
@@ -281,7 +284,11 @@ def _laws_by_path():
         reg,
         dw_draws=((MultiIndex((1, 0)), MultiIndex((0, 2))), (MultiIndex((1, 1)),)),
     )
-    distinct = comps[1:]  # the constructors keep components as given
+    # the constructors keep components as given, here out of index order
+    distinct = [
+        (math.log(0.6), MultiIndex((0, 2))),
+        (math.log(0.4), MultiIndex((1, 0))),
+    ]
     fv_law = DirichletMixtureLaw.from_components(comps, base, reg)
     dw_law = GammaMixtureLaw.from_components(comps, base, reg, 1.5, 0.5)
     return {
@@ -335,8 +342,9 @@ class TestRepresentation:
         assert len(copy) == len(law)
         for f in dataclasses.fields(law):
             assert getattr(copy, f.name) == getattr(law, f.name)
-        other = dataclasses.replace(law, components=before[:1])
-        assert other.components == before[:1] and len(other) == 1
+        single = ((0.0, before[0][1]),)
+        other = dataclasses.replace(law, components=single)
+        assert other.components == single and len(other) == 1
         assert law.components is before
 
     @pytest.mark.parametrize("name", sorted(_LAWS))
@@ -384,6 +392,32 @@ class TestRepresentation:
             DirichletMixtureLaw((), base, reg)
         with pytest.raises(DomainError):
             GammaMixtureLaw((), base, reg, 1.0)
+
+    def test_unnormalized_positional_laws_rejected(self):
+        # a weight of e^5 once gave a count pmf summing to about 148
+        base, reg = BaseMeasure(1.0), TypeRegistry(("a",))
+        heavy = [(5.0, MultiIndex((1,)))]
+        with pytest.raises(DomainError):
+            GammaMixtureLaw(heavy, base, reg, 1.0)
+        with pytest.raises(DomainError):
+            DirichletMixtureLaw(heavy, base, reg)
+        with pytest.raises(DomainError):
+            DirichletMixtureLaw([(-math.inf, MultiIndex((1,)))], base, reg)
+        with pytest.raises(DomainError):
+            DirichletMixtureLaw([(math.nan, MultiIndex((1,)))], base, reg)
+        for law in _LAWS.values():
+            doubled = [(lw + math.log(2.0), idx) for lw, idx in law.components]
+            with pytest.raises(DomainError):
+                dataclasses.replace(law, components=doubled)
+        # within NORMALIZATION_TOL of 1 is accepted; from_components keeps
+        # its meaning
+        near = [(math.log1p(0.5e-10), MultiIndex((1,)))]
+        assert len(GammaMixtureLaw(near, base, reg, 1.0)) == 1
+        law = GammaMixtureLaw.from_components(heavy, base, reg, 1.0, normalize=False)
+        assert law.components == ((5.0, MultiIndex((1,))),)
+        assert GammaMixtureLaw.from_components(heavy, base, reg, 1.0).components == (
+            (0.0, MultiIndex((1,))),
+        )
 
     def test_replace_keeps_other_fields(self):
         law = _LAWS["dw-propagate"]

@@ -147,6 +147,21 @@ class TestPropagateDw:
         for key, lw in w1.items():
             assert lw == pytest.approx(w2[key], abs=1e-10)
 
+    def test_constructor_law_as_given(self, reg2, flat2):
+        # the positional constructor keeps components out of order and
+        # repeated; the box folds repeats as the merge does, in order
+        comps = [
+            (math.log(0.2), MultiIndex((2, 1))),
+            (math.log(0.5), MultiIndex((0, 3))),
+            (math.log(0.3), MultiIndex((2, 1))),
+        ]
+        given = GammaMixtureLaw(comps, flat2, reg2, 1.1, 0.5)
+        merged = GammaMixtureLaw.from_components(comps, flat2, reg2, 1.1, 0.5)
+        assert len(given) == 3 and len(merged) == 2
+        out = propagate_dw(given, 0.4)
+        assert out.components == propagate_dw(merged, 0.4).components
+        assert len(out) == 8  # the lattices below (2, 1) and (0, 3)
+
     def test_long_horizon_collapse(self, reg2, flat2):
         beta = 1.0
         law = GammaMixtureLaw.from_components(

@@ -8,7 +8,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import random_dataset, reference_smooth_pairs_fv
+from helpers import (
+    nonatomic_log_coefficient,
+    random_dataset,
+    reference_smooth_pairs_fv,
+    sharing_degree,
+)
 from mvhmm.core import (
     BaseMeasure,
     DirichletMixtureLaw,
@@ -24,13 +29,11 @@ from mvhmm.fv import (
     filter_backward,
     filter_forward,
     filter_posterior,
-    nonatomic_log_coefficient,
     observation_log_score,
     predictive_pmf,
     predictive_sample,
     propagate_backward,
     propagate_forward,
-    sharing_degree,
     smooth,
     update_dirichlet,
 )

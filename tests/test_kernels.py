@@ -1,14 +1,17 @@
 """The array kernels against the scalar reference engine in helpers.py.
 
-Lattice spread, pair combination, component merge and the predictive urn
-mixture run as array kernels; their filter laws, smoothing laws, pair
-log-weights and predictive pmfs must equal those of the per-lattice-point,
-per-pair, per-component and per-label loops to the bit (keys, order and
-values), not merely to a tolerance.
+Lattice spread, component merge and the predictive urn mixture run as
+array kernels; fv filter laws and the predictive pmfs must equal those of
+the per-lattice-point, per-component and per-label loops to the bit (keys,
+order and values), not merely to a tolerance.  dw propagation (per-axis
+contractions of a dense box) and the pair combination (one lattice
+convolution) add in another order: their laws and pair log-weights must
+list the same keys in the same order, with log-weights within 1e-13
+relative (helpers.assert_law_close), and agree with 50-digit arithmetic.
 
 The merge is a scatter fold; it must give the floats of the stable sort
-and segmented reduce of helpers.py to the bit, on index-row codes, on the
-pair codes of smoothing, sparse codes and codes of rows that overflow.
+and segmented reduce of helpers.py to the bit, on index-row codes, sparse
+codes and codes of rows that overflow.
 
 The filter laws kept per timeline must give the same bits as a fresh
 timeline, in any visiting order and across model parameters, under
@@ -28,7 +31,10 @@ import numpy as np
 import pytest
 
 from helpers import (
+    assert_law_close,
+    nonatomic_log_coefficient,
     random_dataset,
+    sharing_degree,
     reference_case_log,
     reference_filter,
     reference_predictive_pmf,
@@ -36,10 +42,11 @@ from helpers import (
     reference_smooth,
     reference_sort_fold,
 )
-from mvhmm import fv
+from mvhmm import dw, fv
 from mvhmm.core import (
     BaseMeasure,
     DirichletMixtureLaw,
+    GammaMixtureLaw,
     MultiIndex,
     ObservationTimeline,
     TypeRegistry,
@@ -48,7 +55,9 @@ from mvhmm.core import (
 )
 from mvhmm.dual import (
     DEFAULT_DW_RATE_CONSTANT,
+    DwDualSpec,
     FvDualSpec,
+    dw_survival_prob,
     fv_totals_transition,
     fv_typed_log_prob,
 )
@@ -57,6 +66,7 @@ from mvhmm.dw import (
     filter_forward_dw,
     filter_posterior_dw,
     predictive_label_pmf,
+    propagate_dw,
     smooth_dw,
 )
 from mvhmm.errors import AllWeightsZero
@@ -65,7 +75,6 @@ from mvhmm.fv import (
     filter_backward,
     filter_forward,
     filter_posterior,
-    nonatomic_log_coefficient,
     predictive_pmf,
     propagate_forward,
     smooth,
@@ -105,21 +114,18 @@ def test_kernels_equal_scalar_loops(mode, kind):
         for i in range(timeline.n_times):
             for backward, law in enumerate(_filters(timeline, i, base, beta)):
                 ref = reference_filter(timeline, i, base, beta, bool(backward))
-                assert law.components == ref.components
-                assert getattr(law, "rate_offset", None) == getattr(
-                    ref, "rate_offset", None
-                )
+                if beta is None:
+                    assert law.components == ref.components
+                else:
+                    assert_law_close(law, ref)
             for pruning_epsilon in (0.0, 1e-4):
                 result = _smooth(timeline, i, base, beta, pruning_epsilon)
                 pairs, ref_law = reference_smooth(
                     timeline, i, base, pruning_epsilon, beta
                 )
-                assert list(result.pair_log_weights.items()) == list(pairs.items())
+                assert_law_close(result.pair_log_weights, pairs)
                 assert result.component_count == len(pairs)
-                assert result.law.components == ref_law.components
-                assert getattr(result.law, "rate_offset", None) == getattr(
-                    ref_law, "rate_offset", None
-                )
+                assert_law_close(result.law, ref_law)
 
 
 def _with_idle_atom(base):
@@ -270,43 +276,6 @@ def test_lone_minus_zero_weight_keeps_its_sign():
     assert law._arrays[0].tobytes() == np.array([-0.0]).tobytes()
 
 
-@pytest.mark.parametrize("mode", ["fv", "dw"])
-def test_pair_codes_merge_as_index_rows(mode):
-    subsets = 0
-    for kind in ("discrete", "nonatomic"):
-        datasets = itertools.islice(_criterion_02_datasets(mode, kind), 12)
-        for timeline, base, beta in datasets:
-            for i in range(timeline.n_times):
-                for pruning_epsilon in (0.0, 1e-4, 1e-2):
-                    pairs = _smooth(timeline, i, base, beta, pruning_epsilon)._pairs
-                    grid = len(pairs.past) * len(pairs.future)
-                    subsets += len(pairs.positions) < grid
-                    n_now = timeline.counts_at(i)
-                    rows, codes = pairs.indices(n_now), pairs.codes(n_now)
-                    rank = np.unique(codes, return_inverse=True)[1]
-                    by_row = np.unique(_row_codes(rows), return_inverse=True)[1]
-                    assert rank.tolist() == by_row.tolist()
-                    where, first = _assert_folds_as_sort(pairs.log_weights, codes)
-                    assert rows[where].tolist() == rows[first].tolist()
-    assert subsets > 0
-
-
-def test_pair_codes_fall_back_to_rows_on_overflow():
-    big = 2**21
-    pairs = fv._Pairs(
-        past=np.array([[big, 0, big], [0, big, 1], [3, 3, 3]]),
-        future=np.array([[big, big, 0], [1, 0, 0]]),
-        positions=np.array([0, 1, 2, 3, 5]),
-        log_weights=np.array([-1.0, -0.5, -2.0, -0.0, -3.0]),
-    )
-    n_now = MultiIndex((1, 1, 1))
-    rows, codes = pairs.indices(n_now), pairs.codes(n_now)
-    assert math.prod((rows.max(axis=0) + 1).tolist()) > 2**62
-    assert codes.tolist() == _row_codes(rows).tolist()
-    where, first = _assert_folds_as_sort(pairs.log_weights, codes)
-    assert rows[where].tolist() == rows[first].tolist()
-
-
 def test_pair_log_weights_built_on_first_access():
     rng = np.random.default_rng(3)
     timeline, base, _ = random_dataset(rng, "fv", "discrete")
@@ -320,19 +289,29 @@ def test_pair_log_weights_built_on_first_access():
 def test_pruning_threshold_is_math_exp():
     """np.exp and math.exp differ in the last bit on some inputs; a pair
     weight sitting exactly on the threshold is kept or dropped as math.exp
-    decides.  The first criterion-02 dataset with such a weight at index 0
-    is used."""
+    decides.  The first criterion-02 dataset with such a pair weight of the
+    engine at index 0 is used: the pruned pairs are those of the unpruned
+    result that math.exp keeps, renormalized, and the law is their merge."""
     timeline, base, lw = next(
         (timeline, base, lw)
         for timeline, base, _ in _criterion_02_datasets("fv", "discrete")
-        for lw in smooth(timeline, 0, base)._pairs.log_weights.tolist()
+        for lw in smooth(timeline, 0, base).pair_log_weights.values()
         if np.exp(lw) != math.exp(lw)
     )
     epsilon = max(math.exp(lw), float(np.exp(lw)))
-    pairs, ref_law = reference_smooth(timeline, 0, base, epsilon)
+    pairs = smooth(timeline, 0, base).pair_log_weights
+    kept = {pair: w for pair, w in pairs.items() if math.exp(w) >= epsilon}
+    assert 0 < len(kept) < len(pairs)
+    assert any(w == lw for w in kept.values()) == (math.exp(lw) >= epsilon)
+    shift = math.log(math.fsum(math.exp(w) for w in kept.values()))
     pruned = smooth(timeline, 0, base, epsilon)
-    assert list(pruned.pair_log_weights.items()) == list(pairs.items())
-    assert pruned.law.components == ref_law.components
+    assert pruned.component_count == len(kept)
+    assert_law_close(
+        pruned.pair_log_weights, {pair: w - shift for pair, w in kept.items()}
+    )
+    ref_pairs, ref_law = reference_smooth(timeline, 0, base, epsilon)
+    assert list(ref_pairs) == list(kept)
+    assert_law_close(pruned.law, ref_law)
 
 
 @pytest.mark.parametrize("mode", ["fv", "dw"])
@@ -386,6 +365,135 @@ def test_case_forms_against_mpmath():
             bound = 1e-12 * max(1.0, abs(exact))
             assert abs(reference_case_log(k, n, kp, base, (0.0, 0.0)) - exact) <= bound
             assert abs(nonatomic_log_coefficient(k, n, kp, theta) - exact) <= bound
+
+
+@pytest.mark.parametrize("gap", [100.0, 2000.0])
+def test_smoothing_keeps_the_dynamic_range(gap):
+    """Over a gap of 100 the survival probability q is about e^-51, so
+    keeping all twenty lineages weighs about e^-1000 against losing them;
+    over a gap of 2000, q underflows to 0 and every lineage dies.  The
+    log-domain kernels keep every component of the scalar reference,
+    however light, to 1e-13 relative."""
+    registry = TypeRegistry(("a", "b"))
+    base, beta = BaseMeasure(2.0, {"a": 0.4, "b": 0.4}), 1.0
+    draws = (
+        (MultiIndex((6, 4)), MultiIndex((4, 6))),
+        (MultiIndex((1, 1)),),
+        (MultiIndex((2, 1)),),
+    )
+    timeline = ObservationTimeline((0.0, gap, gap + 1.0), registry, dw_draws=draws)
+    q = dw_survival_prob(DwDualSpec(base.theta, beta, 2.0), gap)
+    assert (q == 0.0) == (gap > 1000.0)
+    law = filter_forward_dw(timeline, 1, base, beta)
+    assert_law_close(law, reference_filter(timeline, 1, base, beta))
+    assert len(law) == (1 if q == 0.0 else 121)
+    result = smooth_dw(timeline, 1, base, beta)
+    pairs, ref_law = reference_smooth(timeline, 1, base, 0.0, beta)
+    assert_law_close(result.pair_log_weights, pairs)
+    assert_law_close(result.law, ref_law)
+    logs = result.law._arrays[0]
+    assert (logs.max() - logs.min() > 745.0) == (q > 0.0)
+
+
+def _mp_check(law, exact, mp):
+    """``law`` lists the rows of ``exact`` (row -> mpf weight, unnormalized)
+    in order, with log-weights within 1e-13 * max(1, |x|) of 50 digits."""
+    total = mp.fsum(exact.values())
+    assert [idx.counts for _, idx in law.components] == sorted(exact)
+    for lw, idx in law.components:
+        x = float(mp.log(exact[idx.counts] / total))
+        assert abs(lw - x) <= 1e-13 * max(1.0, abs(x)), (idx, lw, x)
+
+
+def test_box_kernels_against_mpmath():
+    """Binomial thinning and the pair combination (dw's total-count and case
+    terms, and fv's case term alone, under both bases) against 50-digit
+    arithmetic, on random laws over two types with indices up to 6."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    rng = np.random.default_rng(15)
+    registry = TypeRegistry(("a", "b"))
+    theta, beta = 1.7, 0.8
+    bases = [BaseMeasure(theta, {"a": 0.3, "b": 0.5}), BaseMeasure(theta)]
+
+    def law_on(rows, offset, base=bases[0]):
+        comps = [(float(rng.normal(0.0, 3.0)), MultiIndex(r)) for r in rows]
+        return GammaMixtureLaw.from_components(comps, base, registry, beta, offset)
+
+    for _ in range(20):
+        rows = rng.integers(0, 7, (int(rng.integers(1, 10)), 2)).tolist()
+        law = law_on(sorted(set(map(tuple, rows))), float(rng.uniform(0.0, 3.0)))
+        dt = float(rng.uniform(0.05, 3.0))
+        q = mp.mpf(dw_survival_prob(DwDualSpec(theta, beta, law.rate_offset), dt))
+        exact = {}
+        for lw, m in law.components:
+            for k in m.lattice_below():
+                term = mp.exp(mp.mpf(lw))
+                for mj, kj in zip(m, k):
+                    term *= mp.binomial(mj, kj) * q**kj * (1 - q) ** (mj - kj)
+                exact[k.counts] = exact.get(k.counts, 0) + term
+        _mp_check(propagate_dw(law, dt), exact, mp)
+
+    @functools.lru_cache(maxsize=None)
+    def case(r, nonatomic):
+        """log_dir_cat(r), or its alpha -> 0 limit."""
+        out = mp.loggamma(theta) - mp.loggamma(theta + sum(r))
+        for aj, rj in zip((theta * 0.3, theta * 0.5), r):
+            if rj and nonatomic:
+                out += mp.loggamma(rj)
+            elif rj:
+                out += mp.loggamma(aj + rj) - mp.loggamma(aj)
+        return out
+
+    @functools.lru_cache(maxsize=None)
+    def marginal(total, a):
+        """log_gamma_marginal(total, a, theta, beta)."""
+        rate = beta + mp.mpf(a)
+        return (
+            theta * (mp.log(beta) - mp.log(rate))
+            - total * mp.log(rate)
+            + mp.loggamma(theta + total)
+            - mp.loggamma(theta)
+        )
+
+    for base, dw_terms in itertools.product(bases, (False, True)):
+        nonatomic = base.is_nonatomic
+        for _ in range(3):
+            a_past, a_future, c_now = *rng.uniform(0.0, 3.0, 2).tolist(), 2
+            # filter laws fill their box, which _sliced relies on
+            boxes = [
+                list(itertools.product(range(h1 + 1), range(h2 + 1)))
+                for h1, h2 in rng.integers(0, 7, (2, 2)).tolist()
+            ]
+            first = law_on(boxes[0], a_past, base)
+            second = law_on(boxes[1], a_future, base)
+            n = MultiIndex(rng.integers(0, 3, 2).tolist())
+            scores = [fv._case_score(base, registry)]
+            if dw_terms:
+                scores.insert(
+                    0, dw._total_count_scores(a_past, c_now, a_future, theta, beta)
+                )
+            pairs = list(itertools.product(first.components, second.components))
+            if nonatomic:
+                best = max(sharing_degree(k, n, kp) for (_, k), (_, kp) in pairs)
+                pairs = [
+                    ((w1, k), (w2, kp))
+                    for (w1, k), (w2, kp) in pairs
+                    if sharing_degree(k, n, kp) == best
+                ]
+            cards = (a_past + c_now + a_future, a_past, c_now, a_future)
+            exact = {}
+            for (w1, k), (w2, kp) in pairs:
+                parts = [r.counts for r in (k + n + kp, k, n, kp)]
+                ratio = [case(r, nonatomic) for r in parts]
+                if dw_terms:
+                    ratio = [
+                        x + marginal(sum(r), c) for x, r, c in zip(ratio, parts, cards)
+                    ]
+                log_term = mp.mpf(w1) + mp.mpf(w2) + ratio[0] - sum(ratio[1:])
+                exact[parts[0]] = exact.get(parts[0], 0) + mp.exp(log_term)
+            _, law = fv._smoothed(first, second, n, scores, 0.0)
+            _mp_check(law, exact, mp)
 
 
 def _model_params(base, beta):

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from helpers import discrete_case_log
 from mvhmm.core import MultiIndex
 from mvhmm.errors import DomainError
-from mvhmm.fv import discrete_case_log
 from mvhmm.specfun import (
     log_binom_pmf,
     log_dir_cat,
