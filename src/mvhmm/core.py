@@ -1,12 +1,14 @@
 """Domain types shared by both engines.
 
 All types are immutable value objects after construction; they can be shared
-freely between threads.  Mixture weights live in log domain throughout, and
-components with identical multi-indices are merged when a mixture is built,
-by one scatter fold over integer codes of the indices (_merged).  A mixture
-law stores its components only as a read-only log-weight vector and int
-index-row matrix, which the engines read and build laws from; ``components``,
-as (log-weight, MultiIndex) pairs, is listed from them on first access for
+freely between threads.  Mixture weights live in log domain throughout.  The
+engines build laws with distinct index rows in lexicographic order; equal
+rows are merged by one scatter fold over integer codes of the rows
+(_merged) in from_components and where an update meets a law of the
+positional constructor, which keeps rows as given.  A mixture law stores
+its components only as a read-only log-weight vector and int index-row
+matrix, which the engines read and build laws from; ``components``, as
+(log-weight, MultiIndex) pairs, is listed from them on first access for
 readers outside the engines.
 """
 
@@ -328,9 +330,13 @@ class _MixtureBase:
 
     registry: TypeRegistry
     _arrays: tuple[np.ndarray, np.ndarray]
+    # Rows distinct and in lexicographic order, as _built gives them; the
+    # positional constructor (and dataclasses.replace) keeps rows as given.
+    _canonical = True
 
     def __post_init__(self):
         self._store(*_component_arrays(vars(self).pop("components"), self.registry.k))
+        object.__setattr__(self, "_canonical", len(self) == 1)
         total = self.weight_sum()
         if not abs(total - 1.0) <= NORMALIZATION_TOL:
             raise DomainError(f"component weights sum to {total!r}, not 1")
@@ -375,13 +381,18 @@ class _MixtureBase:
         return self._built(log_weights, indices[where], normalize, **changes)
 
     def _built(self, log_weights, indices, normalize=True, **changes):
-        """As _renewed, for components already merged."""
+        """As _renewed, for components already merged and in order."""
         if normalize:
             log_weights = _normalized(log_weights)
         law = copy.copy(self)
         vars(law).pop("components", None)
+        vars(law).pop("_canonical", None)
         law._store(log_weights, indices, **changes)
         return law
+
+    def _merged_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The arrays, as from_components would give them."""
+        return self._arrays if self._canonical else self._renewed(*self._arrays)._arrays
 
     def pruned(self, epsilon: float):
         """Drop components with normalized weight < epsilon, then renormalize."""

@@ -353,35 +353,20 @@ def dw_typed_log_prob(
     return out
 
 
-def _triangle(top: int, fn) -> np.ndarray:
-    """Table of ``fn(n, k)`` for 0 <= k <= n <= top, one call per entry
-    (-inf above the diagonal)."""
-    out = np.full((top + 1, top + 1), -np.inf)
-    for n in range(top + 1):
-        out[n, : n + 1] = [fn(n, k) for k in range(n + 1)]
-    return out
+def _log_factorials(top: int) -> np.ndarray:
+    """log v! = math.lgamma(v + 1) for v = 0..top."""
+    return np.array([math.lgamma(v + 1) for v in range(top + 1)])
 
 
-# log_falling_binom up to total len - 1, read-only; a racing growth is harmless
-_falling_binoms = np.empty((0, 0))
-
-
-def _fv_typed_log_probs(
-    spec: FvDualSpec, m: np.ndarray, k: np.ndarray, t: float
-) -> np.ndarray:
-    """fv_typed_log_prob from each row of ``m`` to the matching row of ``k``
-    (rows with k <= m), with the same floats, gathered from the totals
-    matrix and the kept table of log_falling_binom."""
-    global _falling_binoms
-    m_tot, k_tot = m.sum(axis=1), k.sum(axis=1)
-    top = int(m_tot.max(initial=0))
-    totals = _totals_tables(spec.theta, t, top)[1]
-    binom = _falling_binoms
-    if len(binom) <= top:
-        binom = _triangle(max(top, 2 * len(binom)), log_falling_binom)
-        binom.flags.writeable = False
-        _falling_binoms = binom
-    out = totals[m_tot, k_tot] - binom[m_tot, k_tot]
-    for j in range(m.shape[1]):
-        out = out + binom[m[:, j], k[:, j]]
-    return out
+def _log_binom_table(top: int, q: float) -> np.ndarray:
+    """log_binom_pmf(k, n, q) at [n, k] for 0 <= k <= n <= top, the same
+    floats by the same operations in the same order, from one table of
+    lgamma (-inf above the diagonal)."""
+    n, k = np.ogrid[: top + 1, : top + 1]
+    below = k <= n
+    if q == 0.0 or q == 1.0:
+        return np.where(below & (k == (0 if q == 0.0 else n)), 0.0, -np.inf)
+    rest = np.where(below, n - k, 0)
+    log_fact = _log_factorials(top)
+    out = log_fact[n] - log_fact[k] - log_fact[rest] + k * math.log(q)
+    return np.where(below, out + rest * math.log1p(-q), -np.inf)

@@ -36,7 +36,7 @@ from .core import (
 from .dual import (
     DEFAULT_DW_RATE_CONSTANT,
     DwDualSpec,
-    _triangle,
+    _log_binom_table,
     c_flow,
     dw_survival_prob,
 )
@@ -59,7 +59,7 @@ from .fv import (
     _urn_draws,
     _urn_pmf,
 )
-from .specfun import log_binom_pmf, log_gamma_marginal, log_neg_bin_pmf
+from .specfun import log_gamma_marginal, log_neg_bin_pmf
 
 __all__ = [
     "DwSmoothingResult",
@@ -102,7 +102,7 @@ def update_gamma(
         total,
         lambda theta_eff: log_gamma_marginal(total.total, float(c), theta_eff, rate),
     )
-    return law._renewed(*comps, rate_offset=law.rate_offset + c)
+    return law._built(*comps, rate_offset=law.rate_offset + c)
 
 
 def propagate_dw(
@@ -128,7 +128,7 @@ def propagate_dw(
     log_weights, indices = law._arrays
     side = (indices.max(axis=0) + 1).tolist()
     box = _box(log_weights, indices, side)
-    binom = _triangle(max(side) - 1, lambda m, k: log_binom_pmf(k, m, q))
+    binom = _log_binom_table(max(side) - 1, q)
     for j, s in enumerate(side):
         box = _log_contracted(box, binom[:s, :s], j)
     return law._built(*_cells(box), rate_offset=c_flow(law.beta, law.rate_offset, dt))

@@ -3,9 +3,9 @@
 The scalar reference engine at the end (``reference_spread``,
 ``reference_combine_pairs``, ``reference_merge``, the filters and smoother
 built from them, and ``reference_predictive_pmf``) makes one Python call per
-lattice point, per pair, per component and per label.  The engine's fv
-filter laws and predictive pmfs must reproduce its floats exactly; dw
-propagation and the pair combination reorder sums, so their laws and pair
+lattice point, per pair, per component and per label.  The engine's
+predictive pmfs must reproduce its floats exactly; propagation of both
+models and the pair combination reorder sums, so their laws and pair
 weights must agree with it to ``assert_law_close``'s tolerance.
 """
 

@@ -296,66 +296,19 @@ class TestTypedTransitions:
                 assert direct == pytest.approx(alt, abs=1e-12)
 
 
-def test_falling_binom_table_kept_and_grown():
-    """Typed fv transitions read one read-only log_falling_binom table,
-    kept across calls and grown to the largest total asked for, with one
-    scalar call per entry at every size."""
-    spec = FvDualSpec(2.0)
-
-    def table_after(top):
-        m = np.array([[top, 0]])
-        dual._fv_typed_log_probs(spec, m, m, 0.3)
-        return dual._falling_binoms
-
-    small = table_after(3)
-    assert not small.flags.writeable
-    assert table_after(2) is small
-    large = table_after(len(small) + 4)
-    assert len(large) > len(small) + 4
-    for table in (small, large):
-        for n in range(len(table)):
-            for k in range(len(table)):
-                expected = log_falling_binom(n, k) if k <= n else -math.inf
-                assert table[n, k] == expected
-
-
-def test_falling_binom_table_under_concurrent_callers(monkeypatch):
-    """Threads that grow the table at once each read a table large enough,
-    so every result equals the serial one.  The workers also drop the table
-    now and then, so that growths race often."""
-    spec = FvDualSpec(2.0)
-    rows = {top: np.array([[top, 0, 1], [top // 2, top - top // 2, 0]])
-            for top in range(1, 40, 3)}
-    expected = {top: dual._fv_typed_log_probs(spec, m, m // 2, 0.3)
-                for top, m in rows.items()}
-    monkeypatch.setattr(dual, "_falling_binoms", np.empty((0, 0)))
-    errors = []
-
-    def work(seed):
-        rng = np.random.default_rng(seed)
-        try:
-            for _ in range(300):
-                if rng.random() < 0.3:
-                    dual._falling_binoms = np.empty((0, 0))
-                top = list(rows)[rng.integers(len(rows))]
-                out = dual._fv_typed_log_probs(spec, rows[top], rows[top] // 2, 0.3)
-                if not np.array_equal(out, expected[top]):
-                    errors.append(top)
-        except Exception as exc:  # a failure in a thread would go unseen
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(s,)) for s in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
+@pytest.mark.parametrize(
+    "q", [0.0, 1e-300, 1e-5, 0.3, 0.5, 0.77, 1.0 - 1e-6, 1.0 - 1e-16, 1.0]
+)
+def test_log_binom_table_equals_scalar_pmf(q):
+    """dw's table of binomial log-pmfs holds log_binom_pmf's floats, bit for
+    bit, at every size, q = 0 and q = 1 included."""
+    for top in (0, 1, 30, 200):
+        table = dual._log_binom_table(top, q)
+        assert table.shape == (top + 1, top + 1)
+        expected = np.full_like(table, -math.inf)
+        for n in range(top + 1):
+            expected[n, : n + 1] = [log_binom_pmf(k, n, q) for k in range(n + 1)]
+        assert table.tobytes() == expected.tobytes()
 
 
 class TestGillespie:
