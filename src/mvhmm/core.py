@@ -106,6 +106,8 @@ class TypeRegistry:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
+        if not self.labels:
+            raise DomainError("registry needs at least one label")
         if len(set(self.labels)) != len(self.labels):
             raise DomainError("registry labels must be pairwise distinct")
 

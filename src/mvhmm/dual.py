@@ -353,9 +353,9 @@ def dw_typed_log_prob(
     return out
 
 
-def _log_factorials(top: int) -> np.ndarray:
-    """log v! = math.lgamma(v + 1) for v = 0..top."""
-    return np.array([math.lgamma(v + 1) for v in range(top + 1)])
+def _table(fn, top: int) -> np.ndarray:
+    """``fn(v)`` for v = 0..top, one call each."""
+    return np.array([fn(v) for v in range(top + 1)], dtype=float)
 
 
 def _log_binom_table(top: int, q: float) -> np.ndarray:
@@ -367,6 +367,6 @@ def _log_binom_table(top: int, q: float) -> np.ndarray:
     if q == 0.0 or q == 1.0:
         return np.where(below & (k == (0 if q == 0.0 else n)), 0.0, -np.inf)
     rest = np.where(below, n - k, 0)
-    log_fact = _log_factorials(top)
+    log_fact = _table(lambda v: math.lgamma(v + 1), top)
     out = log_fact[n] - log_fact[k] - log_fact[rest] + k * math.log(q)
     return np.where(below, out + rest * math.log1p(-q), -np.inf)

@@ -8,9 +8,10 @@ binomially and moves the offset along the deterministic cardinality flow.
 Thinning is independent per type, so propagation runs on the dense box of
 indices up to the largest of each type, in the log domain, as one
 contraction per type with a table of binomial log-pmfs.  Smoothing weights
-combine the thinned filter weights with a total-count marginal ratio and the
-per-type allocation case term; the filter loop, pair combination, pruning
-and urn are the Dirichlet engine's (fv.py).
+combine the thinned filter weights with a total-count marginal ratio, each
+block's marginal at its own draw cardinality, and the per-type allocation
+case term; the filter loop, pair combination, pruning and urn are the
+Dirichlet engine's (fv.py).
 
 A further draw mixes over components: given one, the size is negative
 binomial and, independently, the elements follow its Polya urn.  The pmfs
@@ -37,6 +38,7 @@ from .dual import (
     DEFAULT_DW_RATE_CONSTANT,
     DwDualSpec,
     _log_binom_table,
+    _table,
     c_flow,
     dw_survival_prob,
 )
@@ -47,15 +49,13 @@ from .fv import (
     _cells,
     _check_size,
     _filter,
-    _log_contracted,
+    _log_summed,
     _model_key,
     _PairDecomposition,
     _Pairs,
-    _PartScores,
     _pick,
     _rescored,
     _smoothed,
-    _table,
     _urn_draws,
     _urn_pmf,
 )
@@ -129,8 +129,9 @@ def propagate_dw(
     side = (indices.max(axis=0) + 1).tolist()
     box = _box(log_weights, indices, side)
     binom = _log_binom_table(max(side) - 1, q)
-    for j, s in enumerate(side):
-        box = _log_contracted(box, binom[:s, :s], j)
+    for j, s in enumerate(side):  # log sum_m exp(box[..., m, ...] + binom[m, k])
+        table = binom[:s, :s].reshape((s, s) + (1,) * (len(side) - j - 1))
+        box = _log_summed(np.expand_dims(box, j + 1) + table, j)
     return law._built(*_cells(box), rate_offset=c_flow(law.beta, law.rate_offset, dt))
 
 
@@ -201,21 +202,17 @@ class DwSmoothingResult(_PairDecomposition):
     _pairs: _Pairs = field(repr=False)
 
 
-def _total_count_scores(a_past, c_now, a_future, theta: float, beta: float):
-    """Row scores of the total-count marginal ratio: log_gamma_marginal of a
-    row's total at its part's draw cardinality, each evaluated once per
-    distinct total."""
+def _total_count_score(theta: float, beta: float):
+    """Row score of the total-count marginal ratio, ``score(columns, a)``:
+    log_gamma_marginal of a row's total at draw cardinality a, evaluated once
+    per distinct total."""
 
-    def at(a):
-        def score(columns):
-            totals = sum(columns)
-            top = int(totals.max())
-            return _table(lambda v: log_gamma_marginal(v, a, theta, beta), top)[totals]
+    def score(columns, a):
+        totals = sum(columns)
+        top = int(totals.max())
+        return _table(lambda v: log_gamma_marginal(v, a, theta, beta), top)[totals]
 
-        return score
-
-    sums = at(a_past + c_now + a_future)
-    return _PartScores(sums=sums, past=at(a_past), now=at(c_now), future=at(a_future))
+    return score
 
 
 def smooth_dw(
@@ -237,12 +234,14 @@ def smooth_dw(
     v2 = filter_backward_dw(timeline, i, base, beta, kappa)
     n_now = timeline.counts_at(i)
     c_now = timeline.cardinality_at(i)
-    offset = v1.rate_offset + c_now + v2.rate_offset
+    cards = (v1.rate_offset, c_now, v2.rate_offset)
     scores = [
-        _total_count_scores(v1.rate_offset, c_now, v2.rate_offset, base.theta, beta),
+        _total_count_score(base.theta, beta),
         _case_score(base, timeline.registry),
     ]
-    pairs, law = _smoothed(v1, v2, n_now, scores, pruning_epsilon, rate_offset=offset)
+    pairs, law = _smoothed(
+        v1, v2, n_now, scores, pruning_epsilon, cards, rate_offset=sum(cards)
+    )
     return DwSmoothingResult(n_now, c_now, law, pairs)
 
 

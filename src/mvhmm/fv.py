@@ -18,10 +18,11 @@ coefficients).
 
 The filter loop, pair combination, pruning and predictive urn below serve
 both models: the branching engine (dw.py) passes in its own update,
-propagation and the row score of its total-count pair term.  The filter loop
-keeps the laws it meets on each live timeline (the filters at t_i are
-prefixes of those at t_{i+1}), so smoothing every index runs each filter
-step once per direction.
+propagation and the row score of its total-count pair term.  Every pair-term
+hook is one function ``score(columns, a)`` of the rows and a block's draw
+cardinality a, which the case term ignores.  The filter loop keeps the laws
+it meets on each live timeline (the filters at t_i are prefixes of those at
+t_{i+1}), so smoothing every index runs each filter step once per direction.
 
 Mixtures enter these kernels as a log-weight vector and an index-row matrix.
 The update scores index rows from per-column tables of the observation
@@ -62,9 +63,7 @@ import math
 import numbers
 import threading
 import weakref
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -80,7 +79,7 @@ from .core import (
     _normalized,
     logsumexp_1d,
 )
-from .dual import DEFAULT_ODE_RTOL, _log_factorials, _totals_tables
+from .dual import DEFAULT_ODE_RTOL, _table, _totals_tables
 from .errors import AllWeightsZero, DomainError
 
 __all__ = [
@@ -153,11 +152,6 @@ def observation_log_score(
     for j, (mj, nj) in enumerate(zip(m, n)):
         out += _score_term(j, mj, nj, base.is_nonatomic, alpha_vec, carriers)
     return out + _total_term(theta_eff, n.total)
-
-
-def _table(fn, top: int) -> np.ndarray:
-    """``fn(v)`` for v = 0..top, one call each."""
-    return np.array([fn(v) for v in range(top + 1)], dtype=float)
 
 
 def _row_scores(columns, term, total_term) -> np.ndarray:
@@ -265,7 +259,7 @@ def propagate_forward(
     side = tuple((indices.max(axis=0) + 1).tolist())
     grid = np.indices(side, sparse=True)
     totals = np.minimum(sum(grid), top)  # no mass lies past the largest total
-    log_fact = _log_factorials(top)
+    log_fact = _table(lambda v: math.lgamma(v + 1), top)
     tilt = sum(log_fact[g] for g in grid) - log_fact[totals]
     steps = np.empty((top + 1, *side))
     steps[0] = _box(log_weights, indices, side) + tilt
@@ -470,44 +464,24 @@ class _Pairs:
         }
 
 
-class _PartScores(NamedTuple):
-    """Row score S of each part of a pair ratio S(k + n + k') - S(k) - S(n)
-    - S(k'), mapping the columns of rows (as in _row_scores) to S of those
-    rows: for the sums k + n + k', the forward row k, the current counts n,
-    the backward row k'."""
-
-    sums: Callable
-    past: Callable
-    now: Callable
-    future: Callable
-
-
-def _case_score(base: BaseMeasure, registry: TypeRegistry) -> _PartScores:
-    """Row score of the case term, the same for every part: the observation
-    score of a row r under the prior, _score_term(j, 0, r_j) summed over the
-    types plus _total_term(theta, |r|).  Under a discrete base this is
-    log_dir_cat(r); under a nonatomic one (alpha = 0) the per-type term is
-    lgamma(r_j), the discretization limit, and the ratio is the paper's
-    factorial coefficient."""
+def _case_score(base: BaseMeasure, registry: TypeRegistry):
+    """Row score of the case term, ``score(columns, a)``, which ignores the
+    draw cardinality ``a``: the observation score of a row r under the
+    prior, _score_term(j, 0, r_j) summed over the types plus
+    _total_term(theta, |r|).  Under a discrete base this is log_dir_cat(r);
+    under a nonatomic one (alpha = 0) the per-type term is lgamma(r_j), the
+    discretization limit, and the ratio is the paper's factorial
+    coefficient."""
     alpha_vec = base.alpha_vector(registry)
     carriers = (False,) * registry.k
 
     def term(j, rj):
         return _score_term(j, 0, rj, base.is_nonatomic, alpha_vec, carriers)
 
-    def score(columns):
+    def score(columns, a):
         return _row_scores(columns, term, lambda t: _total_term(base.theta, t))
 
-    return _PartScores(score, score, score, score)
-
-
-def _log_contracted(box: np.ndarray, table: np.ndarray, axis: int) -> np.ndarray:
-    """log sum_m exp(box[..., m, ...] + table[m, k]) at every k along
-    ``axis``: each sum shifted by its largest term, -inf where every term is."""
-    terms = np.expand_dims(box, axis + 1) + table.reshape(
-        table.shape + (1,) * (box.ndim - axis - 1)
-    )
-    return _log_summed(terms, axis)
+    return score
 
 
 def _sliced(w: np.ndarray, rows: np.ndarray, other: np.ndarray, n: np.ndarray):
@@ -545,31 +519,36 @@ def _pair_fold(u, a, v, b, f, log_z=0.0, epsilon=0.0):
     return out, count
 
 
-def _smoothed(first, second, n_now: MultiIndex, scores, epsilon: float, **changes):
+def _smoothed(
+    first, second, n_now: MultiIndex, scores, epsilon: float, cards=(0, 0, 0), **changes
+):
     """Smoothing law from the propagated filter laws ``first`` and
     ``second``, as (pairs, a copy of ``first`` but for ``changes``).
 
     Every pair term is a ratio of row scores S(k + n + k') - S(k) - S(n)
     - S(k'), one per ``scores`` (the case term, and for the branching model
-    its total-count marginal ratio).  It splits as F(k + n + k') + G(k)
-    + H(k'): u = w1 + G on the forward rows and v = w2 + H on the backward
-    ones are folded over the box of sums k + k' (one lattice convolution),
-    then F is added.  Under a nonatomic base measure only the pairs of
-    maximal sharing degree survive the discretization limit (_sliced).
-    Pruning drops pairs as a mask of the same fold.
+    its total-count marginal ratio), each ``score(columns, a)`` at the draw
+    cardinalities ``cards`` = (past, now, future), the sums at their total.
+    It splits as F(k + n + k') + G(k) + H(k'): u = w1 + G on the forward
+    rows and v = w2 + H on the backward ones are folded over the box of sums
+    k + k' (one lattice convolution), then F is added.  Under a nonatomic
+    base measure only the pairs of maximal sharing degree survive the
+    discretization limit (_sliced).  Pruning drops pairs as a mask of the
+    same fold.
     """
     _check_epsilon(epsilon)
     (u, a), (v, b) = first._arrays, second._arrays
     n = np.array(n_now.counts, dtype=np.int64)
+    a_past, c_now, a_future = cards
     for score in scores:
-        u, v = u - score.past(a.T), v - score.future(b.T)
+        u, v = u - score(a.T, a_past), v - score(b.T, a_future)
     if first.base.is_nonatomic:
         (u, a), (v, b) = _sliced(u, a, b, n), _sliced(v, b, a, n)
     if not (len(a) and len(b)):
         raise AllWeightsZero("no pair of filter components has maximal sharing degree")
     grid = np.indices(tuple(a.max(axis=0) + b.max(axis=0) + 1), sparse=True)
     sums = [g + nj for g, nj in zip(grid, n)]
-    f = sum(score.sums(sums) - score.now(n[:, None]) for score in scores)
+    f = sum(score(sums, sum(cards)) - score(n[:, None], c_now) for score in scores)
     box, count = _pair_fold(u, a, v, b, f)
     log_weights, rows = _cells(box + f)
     log_z = logsumexp_1d(log_weights)

@@ -120,11 +120,20 @@ def test_result_types_and_config_fields():
 
 
 def test_runtime_imports_leave_out_scipy():
-    # numpy is the only runtime dependency; scipy serves the test suite only
+    # numpy is the only runtime dependency; scipy serves the test suite only.
+    # Importing loads no other package (those the interpreter's site hooks
+    # load at start aside) and builds no totals table, which keeps a cold
+    # CLI call's start-up to interpreter start plus imports.
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     code = (
-        "import sys, mvhmm, mvhmm.cli, mvhmm.oracles\n"
-        "assert 'scipy' not in sys.modules, [m for m in sys.modules if 'scipy' in m]"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import mvhmm, mvhmm.cli, mvhmm.oracles\n"
+        "assert 'scipy' not in sys.modules, [m for m in sys.modules if 'scipy' in m]\n"
+        "loaded = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "extra = loaded - set(sys.stdlib_module_names) - {'numpy', 'mvhmm'}\n"
+        "assert not extra, sorted(extra)\n"
+        "assert not mvhmm.dual._table_cache._tables"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -70,6 +70,10 @@ class TestRegistry:
         with pytest.raises(DomainError):
             TypeRegistry(("a", "a"))
 
+    def test_empty_rejected(self):
+        with pytest.raises(DomainError):
+            TypeRegistry(())
+
 
 class TestBaseMeasure:
     def test_nonatomic(self):
@@ -110,6 +114,30 @@ class TestTimeline:
                 registry,
                 (MultiIndex((0, 0, 0)), MultiIndex((0, 0, 0))),
             )
+
+    @pytest.mark.parametrize(
+        "times,fv_counts,dw_draws,match",
+        [
+            ((), (), None, "at least one collection time"),
+            ((0.0,), ((1, 0, 0),), (((1, 0, 0),),), "exactly one"),
+            ((0.0,), None, None, "exactly one"),
+            ((0.0, 1.0), ((1, 0, 0),), None, "one multiplicity vector per time"),
+            ((0.0, 1.0), None, (((1, 0, 0),),), "one draw collection per time"),
+            ((0.0,), ((1, 0),), None, "multiplicity vector length"),
+            ((0.0,), None, (((1, 0, 0), (1, 0)),), "draw vector length"),
+        ],
+        ids=[
+            "no-times", "both", "neither", "count-vectors", "draw-collections",
+            "count-width", "draw-width",
+        ],
+    )
+    def test_malformed_rejected(self, registry, times, fv_counts, dw_draws, match):
+        if fv_counts is not None:
+            fv_counts = tuple(map(MultiIndex, fv_counts))
+        if dw_draws is not None:
+            dw_draws = tuple(tuple(map(MultiIndex, d)) for d in dw_draws)
+        with pytest.raises(DomainError, match=match):
+            ObservationTimeline(times, registry, fv_counts, dw_draws)
 
     def test_mode_and_totals(self, registry):
         draws = ((MultiIndex((1, 0, 0)), MultiIndex((0, 2, 0))),)

@@ -137,6 +137,25 @@ class TestTotalsTable:
         )
         assert np.all(np.diff(cdfs, axis=0) >= -1e-9)
 
+    @pytest.mark.parametrize(
+        "probs,match",
+        [
+            ([0.5, 0.5], "cover states"),
+            ([[0.2, 0.3, 0.5]], "cover states"),
+            ([0.5, 0.5, -2e-12], "negative"),
+        ],
+        ids=["short", "two-dimensional", "negative"],
+    )
+    def test_direct_table_rejects(self, probs, match):
+        with pytest.raises(DomainError, match=match):
+            dual.TotalsTransitionTable(2, 0.5, np.array(probs))
+
+    def test_direct_table_clips_and_derives_logs(self):
+        table = dual.TotalsTransitionTable(2, 0.5, np.array([0.25, 0.75, -1e-13]))
+        assert table.probs.tolist() == [0.25, 0.75, 0.0]
+        assert table.log_prob(2) == -math.inf
+        assert table.log_probs[:2].tolist() == np.log([0.25, 0.75]).tolist()
+
 
 def _eigen_expansion_row(theta, n, t, digits=250):
     """P(|M_t| = k | |M_0| = n) for k = 0..n at ``digits`` decimal digits,
@@ -309,6 +328,27 @@ def test_log_binom_table_equals_scalar_pmf(q):
         for n in range(top + 1):
             expected[n, : n + 1] = [log_binom_pmf(k, n, q) for k in range(n + 1)]
         assert table.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: DwDualSpec(1.0, 1.0, -0.5),
+        lambda: s_t(0.0, 1.0),
+        lambda: s_t(-1.0, 1.0),
+        lambda: c_flow(1.0, 2.0, -0.1),
+        lambda: c_flow_integral(1.0, 2.0, -0.1),
+        lambda: dw_survival_prob(DwDualSpec(1.0, 1.0, 2.0), -0.1),
+    ],
+    ids=[
+        "spec-negative-c", "s_t-beta-zero", "s_t-beta-negative",
+        "c_flow-negative-t", "c_flow_integral-negative-t",
+        "survival-negative-t",
+    ],
+)
+def test_out_of_domain_arguments_rejected(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 class TestGillespie:

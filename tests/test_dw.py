@@ -57,6 +57,12 @@ class TestUpdateGamma:
         law = GammaMixtureLaw.prior(flat2, reg2, beta=1.0)
         assert update_gamma(law, ()) is law
 
+    @pytest.mark.parametrize("draw", [(1,), (1, 0, 0)], ids=["short", "long"])
+    def test_wrong_draw_width_rejected(self, reg2, flat2, draw):
+        law = GammaMixtureLaw.prior(flat2, reg2, beta=1.0)
+        with pytest.raises(DomainError, match="length mismatch"):
+            update_gamma(law, (MultiIndex((1, 0)), MultiIndex(draw)))
+
     def test_single_component_conjugacy(self, reg2, flat2):
         law = GammaMixtureLaw.prior(flat2, reg2, beta=1.0)
         out = update_gamma(law, (MultiIndex((2, 1)),))

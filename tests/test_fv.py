@@ -94,6 +94,12 @@ class TestUpdate:
         assert out.components[0][1] == MultiIndex((2, 1))
         assert out.components[0][0] == pytest.approx(0.0, abs=1e-14)
 
+    @pytest.mark.parametrize("n", [(1,), (1, 0, 0)], ids=["short", "long"])
+    def test_wrong_count_length_rejected(self, reg2, flat2, n):
+        law = DirichletMixtureLaw.prior(flat2, reg2)
+        with pytest.raises(DomainError, match="registry size"):
+            update_dirichlet(law, MultiIndex(n))
+
     def test_empty_observation(self, reg2, flat2):
         law = DirichletMixtureLaw.prior(flat2, reg2)
         assert update_dirichlet(law, MultiIndex((0, 0))) is law

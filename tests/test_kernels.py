@@ -507,9 +507,7 @@ def test_box_kernels_against_mpmath():
             n = MultiIndex(rng.integers(0, 3, 2).tolist())
             scores = [fv._case_score(base, registry)]
             if dw_terms:
-                scores.insert(
-                    0, dw._total_count_scores(a_past, c_now, a_future, theta, beta)
-                )
+                scores.insert(0, dw._total_count_score(theta, beta))
             pairs = list(itertools.product(first.components, second.components))
             if nonatomic:
                 best = max(sharing_degree(k, n, kp) for (_, k), (_, kp) in pairs)
@@ -529,7 +527,7 @@ def test_box_kernels_against_mpmath():
                     ]
                 log_term = mp.mpf(w1) + mp.mpf(w2) + ratio[0] - sum(ratio[1:])
                 exact[parts[0]] = exact.get(parts[0], 0) + mp.exp(log_term)
-            _, law = fv._smoothed(first, second, n, scores, 0.0)
+            _, law = fv._smoothed(first, second, n, scores, 0.0, cards[1:])
             _mp_check(law, exact, mp)
 
     laws = [
