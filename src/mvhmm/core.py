@@ -314,8 +314,16 @@ def _check_epsilon(epsilon: float) -> None:
 
 
 def _at_least(logs: np.ndarray, epsilon: float) -> np.ndarray:
-    """Pruning's keep mask: ``math.exp(lw) >= epsilon`` for each log-weight."""
-    return np.array([math.exp(lw) >= epsilon for lw in logs.tolist()], dtype=bool)
+    """Pruning's keep mask: ``math.exp(lw) >= epsilon`` for each log-weight
+    (epsilon > 0).  Log-weights are compared with L = math.log(epsilon);
+    those too near L for the rounding of log and exp, 4 ulp of L plus 4 ulp
+    of epsilon relative to it, are decided by math.exp itself."""
+    bound = math.log(epsilon)
+    keep = logs >= bound
+    window = 4.0 * (math.ulp(bound) + math.ulp(epsilon) / epsilon)
+    near = np.flatnonzero(np.abs(logs - bound) <= window)
+    keep[near] = [math.exp(lw) >= epsilon for lw in logs[near].tolist()]
+    return keep
 
 
 def logsumexp_1d(logs: np.ndarray) -> float:

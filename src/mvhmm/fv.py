@@ -34,14 +34,17 @@ type, in the log domain, at a cost of (largest total + 1) times the box; it
 adds in another order than the per-move formulas, so fv filter laws agree
 with them to about 1e-15 relative, not bit for bit.
 
-The pair combination runs on dense boxes in the log domain.  Every pair
-term is one ratio S(k + n + k') - S(k) - S(n) - S(k') of row scores, the
-case term's S being the observation score under the prior; it splits into
-a factor of k, one of k' and one of the component index k + n + k'.  The
-first two go onto the filter weights, which are folded over the box of sums
-k + k' (one lattice convolution, np.logaddexp slab by slab); the third is
-added cell by cell.  The finite cells of the box, read in C order, are the
-merged smoothing law in canonical order.  Smoothing results build
+The pair combination runs on dense boxes.  Every pair term is one ratio
+S(k + n + k') - S(k) - S(n) - S(k') of row scores, the case term's S being
+the observation score under the prior; it splits into a factor of k, one of
+k' and one of the component index k + n + k'.  The first two go onto the
+filter weights, which are folded over the box of sums k + k' (one lattice
+convolution); the third is added cell by cell.  The fold runs in the linear
+domain, one matrix product per row of the smaller box, on weights shifted
+by their largest; pruning, and a law whose log-weights span 300 nats or
+more (which could underflow), fold in the log domain, np.logaddexp slab by
+slab.  The finite cells of the box, read in C order, are the merged
+smoothing law in canonical order.  Smoothing results build
 ``pair_log_weights`` from the same factors on first access.
 
 Prediction reads only a law's arrays: the pmfs mix the Polya urns of its
@@ -495,18 +498,72 @@ def _sliced(w: np.ndarray, rows: np.ndarray, other: np.ndarray, n: np.ndarray):
     return w[keep], rows[keep]
 
 
+# The unpruned fold runs in the linear domain when each side's log-weights
+# span less than _SPAN nats: exp-shifted by their largest, a product of two
+# is then at least e^-600 and never underflows.  Wider laws fold in the log
+# domain.
+_SPAN = 300.0
+
+
 def _pair_fold(u, a, v, b, f, log_z=0.0, epsilon=0.0):
     """log sum exp(u[k] + v[k']) over the pairs (k a row of ``a``, k' a row
-    of ``b``) at each cell k + k' of the box of ``f``: one slab per row of
-    the shorter, folded in by np.logaddexp.  With a positive ``epsilon`` a
-    pair is left out when math.exp of its normalized log-weight
-    u + v + f - log_z is below it.  Returns the box and the pairs folded."""
+    of ``b``) at each cell k + k' of the box of ``f``, -inf where no pair
+    lands.  Unpruned, and when u and v each span less than _SPAN, in the
+    linear domain (_linear_fold); otherwise in the log domain (_log_fold).
+    With a positive ``epsilon`` a pair is left out when math.exp of its
+    normalized log-weight u + v + f - log_z is below it.  Returns the box
+    and the pairs folded."""
     if len(a) > len(b):
         u, a, v, b = v, b, u, a
+    if epsilon > 0.0 or max(np.ptp(u), np.ptp(v)) >= _SPAN:
+        return _log_fold(u, a, v, b, f, log_z, epsilon)
+    top_u, top_v = float(u.max()), float(v.max())
+    sums = _linear_fold(np.exp(u - top_u), a, np.exp(v - top_v), b, f.shape)
+    logs = np.log(sums, out=np.full_like(sums, -math.inf), where=sums > 0.0)
+    logs += top_u + top_v
+    return logs, len(a) * len(b)
+
+
+def _linear_fold(x, a, y, b, shape) -> np.ndarray:
+    """sum x[k] y[k'] over the pairs (k a row of ``a``, k' a row of ``b``)
+    at each cell k + k' of an array of ``shape``, for nonnegative x and y.
+
+    Both sides go into their boxes (equal rows summed), taken as matrices of
+    rows along the last axis.  Each nonzero row p of a's box is one Toeplitz
+    matrix T_p, of b's last side by that of ``shape``, with T_p[t, s] the
+    entry s - t of row p (0 off the row), so b's rows times T_p are the pairs
+    of row p, added into the window at p's leading index.  One matrix
+    product per row of a's box."""
+    side_a, side_b = (tuple((r.max(axis=0) + 1).tolist()) for r in (a, b))
+    rows_a, rows_b = (
+        np.bincount(
+            np.ravel_multi_index(tuple(r.T), side), w, math.prod(side)
+        ).reshape(-1, side[-1])
+        for w, r, side in ((x, a, side_a), (y, b, side_b))
+    )
+    a_k, b_k, o_k = side_a[-1], side_b[-1], shape[-1]
+    gather = np.arange(o_k) - np.arange(b_k)[:, None] + (b_k - 1)
+    padded = np.zeros(a_k + 2 * (b_k - 1))
+    out = np.zeros(shape)
+    lead = side_b[:-1] + (o_k,)
+    live = np.flatnonzero(rows_a.any(axis=1))
+    starts = np.array(np.unravel_index(live, side_a[:-1] + (1,))).T.tolist()
+    for p, start in zip(live.tolist(), starts):
+        padded[b_k - 1 : b_k - 1 + a_k] = rows_a[p]
+        window = tuple(slice(i, i + s) for i, s in zip(start, lead))
+        out[window] += (rows_b @ padded[gather]).reshape(lead)
+    return out
+
+
+def _log_fold(u, a, v, b, f, log_z=0.0, epsilon=0.0):
+    """_pair_fold in the log domain, ``a`` the shorter: one slab per row of
+    ``a``, folded in by np.logaddexp, with pruning a mask of each slab.
+    Raises DomainError when pruning leaves no pair."""
     side = (b.max(axis=0) + 1).tolist()
     slab = _box(v, b, side)
     out = np.full(f.shape, -math.inf)
     count = 0 if epsilon > 0.0 else len(a) * len(b)
+    heaviest = -math.inf
     for x, k in zip(u.tolist(), a.tolist()):
         window = tuple(slice(kj, kj + s) for kj, s in zip(k, side))
         terms = slab + x
@@ -515,7 +572,13 @@ def _pair_fold(u, a, v, b, f, log_z=0.0, epsilon=0.0):
             kept = _at_least(lw, epsilon).reshape(terms.shape)
             terms[~kept] = -math.inf
             count += int(np.count_nonzero(kept))
+            heaviest = max(heaviest, float(lw.max()))
         np.logaddexp(out[window], terms, out=out[window])
+    if epsilon > 0.0 and not count:
+        raise DomainError(
+            f"pruning epsilon {epsilon!r} leaves no smoothing pair: "
+            f"the largest pair weight is {math.exp(heaviest)!r}"
+        )
     return out, count
 
 
@@ -531,10 +594,11 @@ def _smoothed(
     cardinalities ``cards`` = (past, now, future), the sums at their total.
     It splits as F(k + n + k') + G(k) + H(k'): u = w1 + G on the forward
     rows and v = w2 + H on the backward ones are folded over the box of sums
-    k + k' (one lattice convolution), then F is added.  Under a nonatomic
-    base measure only the pairs of maximal sharing degree survive the
-    discretization limit (_sliced).  Pruning drops pairs as a mask of the
-    same fold.
+    k + k' (one lattice convolution, in the linear domain when the weights
+    allow), then F is added.  Under a nonatomic base measure only the pairs
+    of maximal sharing degree survive the discretization limit (_sliced).
+    Pruning folds again in the log domain, dropping pairs as a mask of each
+    slab; it raises DomainError when no pair is left.
     """
     _check_epsilon(epsilon)
     (u, a), (v, b) = first._arrays, second._arrays

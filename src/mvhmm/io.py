@@ -254,9 +254,9 @@ def format_mixture(law, header: dict[str, str]) -> str:
     if hasattr(law, "rate_offset"):
         lines.append(f"beta {format_float(law.beta)}")
         lines.append(f"rate_offset {format_float(law.rate_offset)}")
+    # one %-template per component; %.17g is format_float's rendering
+    template = "component %d\nindex " + ",".join(["%d"] * law.registry.k)
+    template += "\nlog_weight %.17g\nweight %.17g"
     for pos, (lw, idx) in enumerate(law._rows()):
-        lines.append(f"component {pos}")
-        lines.append("index " + ",".join(str(v) for v in idx))
-        lines.append(f"log_weight {format_float(lw)}")
-        lines.append(f"weight {format_float(math.exp(lw))}")
+        lines.append(template % (pos, *idx, lw, math.exp(lw)))
     return "\n".join(lines) + "\n"

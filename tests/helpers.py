@@ -66,6 +66,20 @@ def assert_law_close(law, ref, rel=1e-13):
         assert abs(x - y) <= rel * max(1.0, abs(y)), (key, x, y)
 
 
+# dw draws over four types at six times 0.4 apart, two draws per time with
+# Poisson(1) counts per type (numpy's default_rng(1)).  Under a uniform
+# discrete base with theta = 2 and beta = 1, every smoothing pair at index 3
+# weighs less than 1e-3.
+FOUR_TYPE_DRAWS = (
+    ((2, 1, 1, 1), (0, 2, 1, 1)),
+    ((1, 0, 1, 3), (1, 0, 2, 2)),
+    ((1, 1, 0, 2), (0, 2, 1, 3)),
+    ((1, 0, 3, 0), (0, 3, 0, 3)),
+    ((2, 1, 4, 0), (1, 1, 1, 1)),
+    ((1, 1, 0, 1), (1, 2, 3, 1)),
+)
+
+
 def random_dataset(rng: np.random.Generator, mode: str, base_kind: str):
     """K <= 3 types, N <= 4 times, total counts <= 8."""
     k = int(rng.integers(1, 4))

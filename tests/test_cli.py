@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from helpers import FOUR_TYPE_DRAWS
 from mvhmm import cli
 from mvhmm.oracles import OracleReport
 
@@ -154,6 +155,24 @@ def test_model_data_mismatch(files, capsys):
     data = files("data.csv", DW_DATA)
     assert run(["filter", "--config", cfg, "--data", data, "--at", "0"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_pruning_that_leaves_no_pair_exits_1(files, capsys):
+    """helpers.FOUR_TYPE_DRAWS as files: at pruning_epsilon = 0.001 no
+    smoothing pair survives at index 3."""
+    rows = ["time,draw,label,count"]
+    for t, draws in enumerate(FOUR_TYPE_DRAWS):
+        for d, counts in enumerate(draws):
+            rows += [f"{0.4 * t!r},{d + 1},{lab},{c}" for lab, c in zip("abcd", counts)]
+    data = files("data.csv", "\n".join(rows) + "\n")
+    atoms = "".join(f"atom.{lab} = 0.25\n" for lab in "abcd")
+    config = "model = dw\ntheta = 2.0\nbeta = 1.0\nbase = discrete\n" + atoms
+    argv = ["smooth", "--data", data, "--at", "3", "--config"]
+    assert run(argv + [files("cfg", config + "pruning_epsilon = 0.001\n")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: pruning epsilon 0.001 leaves no smoothing pair")
+    assert run(argv + [files("cfg4", config + "pruning_epsilon = 0.0001\n")]) == 0
+    assert "n_components 258\n" in capsys.readouterr().out
 
 
 def test_at_out_of_range(files, capsys):

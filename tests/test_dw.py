@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import random_dataset, reference_smooth_pairs_dw
+from helpers import FOUR_TYPE_DRAWS, random_dataset, reference_smooth_pairs_dw
 from mvhmm.core import (
     BaseMeasure,
     DirichletMixtureLaw,
@@ -307,6 +307,19 @@ def test_bad_pruning_epsilon_rejected(reg2, flat2, epsilon):
         smooth_dw(tl, 1, flat2, 1.0, epsilon)
     with pytest.raises(DomainError):
         smooth_dw(tl, 1, flat2, 1.0).law.pruned(epsilon)
+
+
+def test_pruning_that_leaves_no_pair_names_epsilon():
+    """Pruning at the largest accepted epsilon, 1e-3, drops every pair of
+    this dataset at index 3: the error names epsilon and the largest pair
+    weight (4.2e-4), and a smaller epsilon keeps 258 components."""
+    labels = ("a", "b", "c", "d")
+    base = BaseMeasure(2.0, {lab: 0.25 for lab in labels})
+    times = [0.4 * i for i in range(6)]
+    tl = mk_dw_timeline(TypeRegistry(labels), times, FOUR_TYPE_DRAWS)
+    with pytest.raises(DomainError, match=r"epsilon 0\.001 .* weight is 0\.00042"):
+        smooth_dw(tl, 3, base, 1.0, 1e-3)
+    assert len(smooth_dw(tl, 3, base, 1.0, 1e-4).law) == 258
 
 
 class TestSeriesOracle:

@@ -9,6 +9,10 @@ convolution) add in another order: filter laws, smoothing laws and pair
 log-weights must list the same keys in the same order as the
 per-lattice-point and per-pair loops, with log-weights within 1e-13
 relative (helpers.assert_law_close), and agree with 50-digit arithmetic.
+The unpruned pair combination folds in the linear domain when the weights
+span less than 300 nats; it must list the cells of the log-domain loop with
+log-weights within 1e-13 relative, and pruning must keep exactly the pairs
+that math.exp keeps.
 
 The merge is a scatter fold; it must give the floats of the stable sort
 and segmented reduce of helpers.py to the bit, on index-row codes, sparse
@@ -25,6 +29,8 @@ import functools
 import gc
 import itertools
 import math
+import os
+import subprocess
 import sys
 import threading
 import weakref
@@ -53,6 +59,7 @@ from mvhmm.core import (
     MultiIndex,
     ObservationTimeline,
     TypeRegistry,
+    _at_least,
     _merged,
     _row_codes,
 )
@@ -285,6 +292,46 @@ def test_pair_log_weights_built_on_first_access():
     assert len(pairs) == result.component_count
 
 
+def _crossing(epsilon):
+    """The smallest double tau with math.exp(tau) >= epsilon, by bisection
+    over the doubles around log(epsilon)."""
+    lo, hi = math.log(epsilon) - 1e-3, math.log(epsilon) + 1e-3
+    assert math.exp(lo) < epsilon <= math.exp(hi)
+    while math.nextafter(lo, math.inf) < hi:
+        mid = lo + (hi - lo) / 2.0
+        lo, hi = (lo, mid) if math.exp(mid) >= epsilon else (mid, hi)
+    return hi
+
+
+def test_threshold_mask_equals_math_exp_mask():
+    """core._at_least compares log-weights with math.log(epsilon) and asks
+    math.exp only near it; the mask must be math.exp's on random values
+    within a nat of log epsilon, on a fine grid around it, on every double
+    within 50 ulp of where math.exp crosses epsilon, and on infinities and
+    NaN.  Near 1 and for subnormal epsilon the crossing lies many ulp of
+    log epsilon away from it."""
+    rng = np.random.default_rng(21)
+    for epsilon in (1e-3, 1e-4, 1e-6, 1e-9, 3.7e-7, 0.5, 1.0 - 1e-12, 1e-320):
+        log_eps, tau = math.log(epsilon), _crossing(epsilon)
+        near = [tau]
+        for direction in (-math.inf, math.inf):
+            x = tau
+            for _ in range(50):
+                x = math.nextafter(x, direction)
+                near.append(x)
+        width = 1e-13 * max(1.0, abs(log_eps)) + 16.0 * abs(tau - log_eps)
+        logs = np.concatenate(
+            [
+                rng.uniform(log_eps - 1.0, log_eps + 1.0, 100_000),
+                np.linspace(log_eps - width, log_eps + width, 10_001),
+                near,
+                [-math.inf, math.inf, math.nan, 0.0],
+            ]
+        )
+        expected = [math.exp(lw) >= epsilon for lw in logs.tolist()]
+        assert _at_least(logs, epsilon).tolist() == expected
+
+
 def test_pruning_threshold_is_math_exp():
     """np.exp and math.exp differ in the last bit on some inputs; a pair
     weight sitting exactly on the threshold is kept or dropped as math.exp
@@ -315,6 +362,140 @@ def test_pruning_threshold_is_math_exp():
         [(w - shift, k + n_now + kp) for (k, kp), w in kept.items()]
     )
     assert_law_close(pruned.law, dataclasses.replace(pruned.law, components=merged))
+
+
+def _assert_fold_is_log_loop(u, a, v, b):
+    """fv._pair_fold against the log-domain loop on the same pairs: the
+    same pair count, the same finite cells, log-weights within 1e-13 *
+    max(1, |x|)."""
+    f = np.zeros(tuple((a.max(axis=0) + b.max(axis=0) + 1).tolist()))
+    got, count = fv._pair_fold(u, a, v, b, f)
+    shorter_first = (u, a, v, b) if len(a) <= len(b) else (v, b, u, a)
+    want, want_count = fv._log_fold(*shorter_first, f)
+    assert count == want_count == len(a) * len(b)
+    finite = want != -math.inf
+    assert np.array_equal(got != -math.inf, finite)
+    x, y = got[finite], want[finite]
+    assert np.all(np.abs(x - y) <= 1e-13 * np.maximum(1.0, np.abs(y)))
+
+
+def _random_law(rng, k, side, size, scale=3.0):
+    """Log-weights and distinct index rows of a random law: ``size`` rows
+    drawn from the box of ``side`` per type."""
+    rows = np.unique(rng.integers(0, side, (size, k)), axis=0)
+    return rng.normal(0.0, scale, len(rows)), rows
+
+
+@pytest.fixture
+def fold_paths(monkeypatch):
+    """Counts of the calls of the linear and the log-domain fold."""
+    calls = {"linear": 0, "log": 0}
+    for name, key in (("_linear_fold", "linear"), ("_log_fold", "log")):
+
+        def counted(*args, _fn=getattr(fv, name), _key=key):
+            calls[_key] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(fv, name, counted)
+    return calls
+
+
+def test_linear_fold_on_sparse_boxes(fold_paths):
+    """Random laws over one to three types whose boxes hold leading rows
+    with no component, single-component laws, and laws of one type (no
+    leading axis)."""
+    rng = np.random.default_rng(12)
+    for trial in range(60):
+        k = 1 + trial % 3
+        u, a = _random_law(rng, k, int(rng.integers(2, 8)), int(rng.integers(1, 12)))
+        v, b = _random_law(rng, k, int(rng.integers(2, 8)), int(rng.integers(1, 30)))
+        if trial % 4 == 0:
+            u, a = u[:1], a[:1]
+        _assert_fold_is_log_loop(u, a, v, b)
+    assert fold_paths["log"] == 60 and fold_paths["linear"] == 60
+
+
+def test_linear_fold_on_sliced_laws():
+    """Nonatomic slices of laws that fill their box keep only rows with a
+    positive count of every shared type, so their rows do not fill the box
+    of the slice."""
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        sides = rng.integers(1, 6, (2, 3))
+        a, b = (np.indices(tuple(s)).reshape(3, -1).T for s in sides)
+        u, v = rng.normal(0.0, 3.0, len(a)), rng.normal(0.0, 3.0, len(b))
+        n = rng.integers(0, 2, 3)
+        (u, a), (v, b) = fv._sliced(u, a, b, n), fv._sliced(v, b, a, n)
+        if len(a) and len(b):
+            _assert_fold_is_log_loop(u, a, v, b)
+
+
+def test_linear_fold_up_to_the_span_bound(fold_paths):
+    """Log-weights spanning just under _SPAN (300 nats) on both sides fold
+    in the linear domain: the lightest pairs weigh about e^-600 of the
+    heaviest and keep their relative accuracy."""
+    rng = np.random.default_rng(14)
+    u, a = _random_law(rng, 2, 7, 40)
+    v, b = _random_law(rng, 2, 6, 40)
+    u = u + rng.choice([0.0, -290.0], len(u))
+    v = v + rng.choice([0.0, -290.0], len(v))
+    assert 290.0 < min(np.ptp(u), np.ptp(v)) and max(np.ptp(u), np.ptp(v)) < 300.0
+    _assert_fold_is_log_loop(u, a, v, b)
+    assert fold_paths["linear"] == 1
+
+
+def test_wide_span_fold_runs_in_the_log_domain(fold_paths):
+    """A side whose log-weights span _SPAN nats or more (here more than
+    3 000) could underflow in the linear domain: the fold runs by the
+    log-domain loop, whichever side is the wide one."""
+    rng = np.random.default_rng(16)
+    u, a = _random_law(rng, 2, 7, 40)
+    v, b = _random_law(rng, 2, 5, 10)
+    wide = u + rng.choice([0.0, -1000.0, -3100.0], len(u))
+    assert np.ptp(wide) > 3000.0
+    _assert_fold_is_log_loop(wide, a, v, b)
+    _assert_fold_is_log_loop(u, a, v + 300.0 * (np.arange(len(v)) % 2), b)
+    assert fold_paths["linear"] == 0 and fold_paths["log"] == 4
+
+
+# One fold of a (3, 3, 30) box into a (30, 30, 30) box: each row product
+# multiplies 900 x 30 rows by a 30 x 59 Toeplitz matrix, 1.6e6 multiply-adds,
+# past the size (2.6e5) below which OpenBLAS runs a product on one thread.
+_THREADED_FOLD = """
+import hashlib, sys
+import numpy as np
+from mvhmm import fv
+rng = np.random.default_rng(17)
+a, b = (np.indices(s).reshape(3, -1).T for s in ((3, 3, 30), (30, 30, 30)))
+u, v = rng.normal(0.0, 3.0, len(a)), rng.normal(0.0, 3.0, len(b))
+f = np.zeros((32, 32, 59))
+out, count = fv._pair_fold(u, a, v, b, f)
+assert count == len(a) * len(b)
+sys.stdout.write(hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+def test_linear_fold_bytes_do_not_depend_on_blas_threads():
+    """The linear fold multiplies matrices through numpy's BLAS, whose
+    thread pools are sized by these variables: a fold large enough to
+    thread, run in a fresh interpreter with one thread and then two, gives
+    the same bytes."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MVHMM_")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(fv.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[name] = threads
+        run = subprocess.run(
+            [sys.executable, "-c", _THREADED_FOLD],
+            env=env,
+            check=True,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        digests.append(run.stdout)
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("mode", ["fv", "dw"])
@@ -405,8 +586,9 @@ def test_smoothing_keeps_the_dynamic_range(gap):
     """Over a gap of 100 the survival probability q is about e^-51, so
     keeping all twenty lineages weighs about e^-1000 against losing them;
     over a gap of 2000, q underflows to 0 and every lineage dies.  The
-    log-domain kernels keep every component of the scalar reference,
-    however light, to 1e-13 relative."""
+    kernels keep every component of the scalar reference, however light,
+    to 1e-13 relative: weights spanning 300 nats or more are folded in the
+    log domain, so none underflows."""
     registry = TypeRegistry(("a", "b"))
     base, beta = BaseMeasure(2.0, {"a": 0.4, "b": 0.4}), 1.0
     draws = (
