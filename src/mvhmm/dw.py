@@ -6,8 +6,10 @@ single rate offset: updates add the draw cardinality to the offset and shift
 indices by the observed totals; propagation thins every component's index
 binomially and moves the offset along the deterministic cardinality flow.
 Thinning is independent per type, so propagation runs on the dense box of
-indices up to the largest of each type, in the log domain, as one
-contraction per type with a table of binomial log-pmfs.  Smoothing weights
+indices up to the largest of each type, in the linear domain by exponent
+bands, as one contraction per type with the integer Pascal matrix; the
+powers of q are added in the log domain.  Boxes past that contraction's
+float range thin in the log domain.  Smoothing weights
 combine the thinned filter weights with a total-count marginal ratio, each
 block's marginal at its own draw cardinality, and the per-type allocation
 case term; the filter loop, pair combination, pruning and urn are the
@@ -44,6 +46,7 @@ from .dual import (
 )
 from .errors import DomainError
 from .fv import (
+    _SPAN,
     _box,
     _case_score,
     _cells,
@@ -115,9 +118,15 @@ def propagate_dw(
     Components thin binomially with the per-lineage survival probability q
     and the rate offset moves along the cardinality flow.  Backward and
     forward propagation coincide on these laws, so a single operation serves
-    both recursions.  Thinning is independent per type, so it runs on the box
-    of shape max_j + 1 as one contraction per axis with the table of binomial
-    log-pmfs at q.
+    both recursions.  Thinning is independent per type, and Bin(k; m, q) =
+    C(m, k) (1 - q)^m (q / (1 - q))^k, so it runs on the box of shape
+    max_j + 1 in the linear domain: x = log w + |m| log(1 - q) on each row,
+    cut into exponent bands of _SPAN nats, each exp-shifted by its largest
+    and contracted on every axis with the integer Pascal matrix (_thinned);
+    the bands' logs are combined and |k| log(q / (1 - q)) added per cell.
+    A box past the contraction's float64 range (its largest indices summing
+    to about 1 000) runs in the log domain instead, with the table of
+    binomial log-pmfs at q (_log_thinned).
     """
     if not 0.0 <= dt < math.inf:
         raise DomainError(f"time step must be finite and >= 0, got {dt}")
@@ -125,14 +134,77 @@ def propagate_dw(
         return law
     spec = DwDualSpec(law.base.theta, law.beta, law.rate_offset, kappa)
     q = dw_survival_prob(spec, dt)
+    offset = c_flow(law.beta, law.rate_offset, dt)
+    return law._built(*_thinning(law, q), rate_offset=offset)
+
+
+def _thinning(law: GammaMixtureLaw, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """(log-weights, index rows) of ``law``'s components thinned binomially
+    with survival probability q, merged and in C order (propagate_dw)."""
+    if q == 1.0:  # every lineage survives
+        return law._merged_arrays()
     log_weights, indices = law._arrays
+    if q == 0.0:  # every lineage dies: all the mass at 0
+        return np.zeros(1), np.zeros((1, indices.shape[1]), dtype=np.int64)
     side = (indices.max(axis=0) + 1).tolist()
+    # A cell sums at most len(log_weights) band entries <= 1, each times
+    # prod_j C(m_j, k_j) < 2^(sum_j (side_j - 1)): it must stay below 2^maxexp,
+    # or the box thins in the log domain.
+    if sum(side) - len(side) + len(log_weights).bit_length() >= np.finfo(float).maxexp:
+        return _cells(_log_thinned(log_weights, indices, side, q))
+    log_p = math.log1p(-q)
+    x = log_weights + indices.sum(axis=1) * log_p
+    flat = np.ravel_multi_index(tuple(indices.T), side)
+    pascal = _pascal(max(side))
+    if np.ptp(x) < _SPAN:
+        box = _thinned(x, flat, side, pascal)
+    else:
+        keep = x != -math.inf  # zero-weight rows of a positional law
+        x, flat = x[keep], flat[keep]
+        box = np.full(side, -math.inf)
+        while len(x):
+            band = x > x.max() - _SPAN
+            box = np.logaddexp(box, _thinned(x[band], flat[band], side, pascal))
+            x, flat = x[~band], flat[~band]
+    box += sum(np.indices(side, sparse=True)) * (math.log(q) - log_p)
+    return _cells(box)
+
+
+def _pascal(side: int) -> np.ndarray:
+    """C(m, k) at [m, k] for 0 <= m, k < side, 0 above the diagonal, by the
+    additive recurrence in float64: exact while every entry is below 2^53,
+    i.e. for side <= 57, and beyond that each row m adds at most one
+    rounding, so within (1 + 2^-53)^(m - 56) - 1 relative."""
+    out = np.zeros((side, side))
+    out[:, 0] = 1.0
+    for m in range(1, side):
+        out[m, 1 : m + 1] = out[m - 1, :m] + out[m - 1, 1 : m + 1]
+    return out
+
+
+def _thinned(x, flat, side, pascal) -> np.ndarray:
+    """log sum exp(x[r]) C(m, k) over the rows r (raveled cells ``flat`` m of
+    the box of ``side``, equal ones summed) at each cell k, -inf where no row
+    reaches, for x spanning less than _SPAN nats: exp-shifted by the largest
+    x, every term lies between e^-_SPAN and the largest float."""
+    top = float(x.max())
+    y = np.bincount(flat, np.exp(x - top), math.prod(side))
+    for s in side:  # contracts the leading axis and puts it last
+        y = y.reshape(s, -1).T @ pascal[:s, :s]
+    y = y.reshape(side)
+    return np.log(y, out=np.full_like(y, -math.inf), where=y > 0.0) + top
+
+
+def _log_thinned(log_weights, indices, side, q) -> np.ndarray:
+    """The thinned box in the log domain, for any box: one contraction per
+    axis with the table of binomial log-pmfs at q, each sum shifted by its
+    largest term.  It holds box x side terms per axis."""
     box = _box(log_weights, indices, side)
     binom = _log_binom_table(max(side) - 1, q)
     for j, s in enumerate(side):  # log sum_m exp(box[..., m, ...] + binom[m, k])
         table = binom[:s, :s].reshape((s, s) + (1,) * (len(side) - j - 1))
         box = _log_summed(np.expand_dims(box, j + 1) + table, j)
-    return law._built(*_cells(box), rate_offset=c_flow(law.beta, law.rate_offset, dt))
+    return box
 
 
 # ---------------------------------------------------------------------------

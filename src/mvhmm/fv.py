@@ -501,7 +501,7 @@ def _sliced(w: np.ndarray, rows: np.ndarray, other: np.ndarray, n: np.ndarray):
 # The unpruned fold runs in the linear domain when each side's log-weights
 # span less than _SPAN nats: exp-shifted by their largest, a product of two
 # is then at least e^-600 and never underflows.  Wider laws fold in the log
-# domain.
+# domain.  dw propagation cuts its rows into exponent bands of this width.
 _SPAN = 300.0
 
 

@@ -9,8 +9,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from mvhmm import dual
-from mvhmm.core import MultiIndex
+from mvhmm import dual, dw
+from mvhmm.core import BaseMeasure, GammaMixtureLaw, MultiIndex, TypeRegistry
 from mvhmm.dual import (
     DwDualSpec,
     FvDualSpec,
@@ -328,6 +328,32 @@ def test_log_binom_table_equals_scalar_pmf(q):
         for n in range(top + 1):
             expected[n, : n + 1] = [log_binom_pmf(k, n, q) for k in range(n + 1)]
         assert table.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "q", [0.0, 1e-300, 1e-5, 0.3, 0.5, 0.77, 1.0 - 1e-6, 1.0 - 1e-16, 1.0]
+)
+def test_thinning_a_point_mass_equals_scalar_pmf(q):
+    """dw's thinning at q of the point mass at n is the row of log_binom_pmf
+    at n, at every size, q = 0 and q = 1 included: the same cells, exactly
+    at q = 0 and q = 1, and otherwise within 1e-14 of the magnitude
+    n (|log q| + |log(1 - q)|) of the terms the log-domain sum cancels."""
+    reg = TypeRegistry(("a",))
+    base = BaseMeasure(2.0, {"a": 0.5})
+    for top in (0, 1, 30, 200):
+        law = GammaMixtureLaw.from_components(
+            [(0.0, MultiIndex((top,)))], base, reg, 1.0, 2.0
+        )
+        log_weights, indices = dw._thinning(law, q)
+        expected = [log_binom_pmf(k, top, q) for k in range(top + 1)]
+        cells = [k for k, x in enumerate(expected) if x != -math.inf]
+        assert indices.tolist() == [[k] for k in cells]
+        if q in (0.0, 1.0):
+            assert log_weights.tolist() == [expected[k] for k in cells] == [0.0]
+            continue
+        scale = max(1.0, top * (abs(math.log(q)) + abs(math.log1p(-q))))
+        for x, k in zip(log_weights, cells):
+            assert abs(x - expected[k]) <= 1e-14 * scale, (top, k, x, expected[k])
 
 
 @pytest.mark.parametrize(

@@ -2,12 +2,19 @@
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import FOUR_TYPE_DRAWS, random_dataset, reference_smooth_pairs_dw
+from helpers import (
+    FOUR_TYPE_DRAWS,
+    assert_law_close,
+    random_dataset,
+    reference_propagate,
+    reference_smooth_pairs_dw,
+)
 from mvhmm.core import (
     BaseMeasure,
     DirichletMixtureLaw,
@@ -16,7 +23,8 @@ from mvhmm.core import (
     ObservationTimeline,
     TypeRegistry,
 )
-from mvhmm.dual import c_flow
+from mvhmm import dw
+from mvhmm.dual import DwDualSpec, c_flow, dw_survival_prob
 from mvhmm.dw import (
     filter_backward_dw,
     filter_forward_dw,
@@ -182,6 +190,150 @@ class TestPropagateDw:
         post = update_gamma(law, (MultiIndex((2, 1)),))
         prop = propagate_dw(post, 1e-6)
         assert prop.weights()[MultiIndex((2, 1))] > 1.0 - 1e-4
+
+    # At beta = 1 and rate offset 2 (_law's), q is 0.0 at dt = 2000, 1.0 at
+    # dt = 1e-17 and 1 - 1.5e-12 at dt = 1e-12, where log(1 - q) is -27 and
+    # the rows' x = log w + |m| log(1 - q) span several bands.
+    @pytest.mark.parametrize(
+        "dt,q_is",
+        [
+            (2000.0, lambda q: q == 0.0),
+            (1e-17, lambda q: q == 1.0),
+            (1e-12, lambda q: 1e-12 < 1.0 - q < 2e-12),
+            (0.7, lambda q: 0.0 < q < 1.0),
+        ],
+        ids=["q=0", "q=1", "q=1-1.5e-12", "q=0.44"],
+    )
+    def test_survival_extremes_match_scalar_reference(self, reg2, flat2, dt, q_is):
+        q = dw_survival_prob(DwDualSpec(flat2.theta, 1.0, 2.0), dt)
+        assert q_is(q)
+        rng = np.random.default_rng(21)
+        rows = np.indices((7, 6)).reshape(2, -1).T
+        law = _law(rows, rng.normal(0.0, 3.0, len(rows)), reg2, flat2)
+        out = propagate_dw(law, dt)
+        assert_law_close(out, reference_propagate(law, dt))
+        assert len(out) == (1 if q == 0.0 else len(rows))
+
+    def test_wide_span_in_many_bands(self, reg2, flat2):
+        # log-weights spanning more than 3 000 nats, far past the float
+        # range, run in bands of _SPAN nats; the lightest keep their
+        # relative accuracy
+        rng = np.random.default_rng(22)
+        rows = np.indices((5, 6)).reshape(2, -1).T
+        logs = rng.normal(0.0, 3.0, len(rows))
+        logs += rng.choice([0.0, -700.0, -1500.0, -2200.0, -3100.0], len(rows))
+        assert np.ptp(logs) > 3000.0
+        law = _law(rows, logs, reg2, flat2)
+        assert_law_close(propagate_dw(law, 0.7), reference_propagate(law, 0.7))
+
+    def test_side_past_exact_pascal_entries(self, reg2, flat2):
+        # C(m, k) for m >= 57 passes 2^53 and is rounded
+        # (test_pascal_matrix_against_math_comb)
+        rng = np.random.default_rng(23)
+        rows = {(119, 2)} | set(zip(rng.integers(0, 120, 30), rng.integers(0, 3, 30)))
+        rows = np.array(sorted(rows))
+        law = _law(rows, rng.normal(0.0, 3.0, len(rows)), reg2, flat2)
+        for dt in (0.05, 0.7):
+            assert_law_close(propagate_dw(law, dt), reference_propagate(law, dt))
+
+    @pytest.mark.parametrize("dt", [2000.0, 1e-17, 0.4])
+    def test_positional_law_with_repeats(self, reg2, flat2, dt):
+        # out of order, with repeated rows: the scatter sums them
+        rows = np.array([(2, 1), (0, 3), (2, 1), (1, 0), (0, 3), (2, 1)])
+        logs = np.log([0.1, 0.2, 0.15, 0.05, 0.3, 0.2])
+        law = _law(rows, logs, reg2, flat2, positional=True)
+        assert len(law) == 6
+        assert_law_close(propagate_dw(law, dt), reference_propagate(law, dt))
+
+    def test_positional_law_with_a_zero_weight_component(self, reg2, flat2):
+        # the positional constructor keeps a component of log-weight -inf;
+        # its row (the largest index) is left out of the bands
+        rows = np.array([(2, 1), (0, 3), (4, 4), (1, 0)])
+        logs = np.array([math.log(0.4), math.log(0.35), -math.inf, math.log(0.25)])
+        law = _law(rows, logs, reg2, flat2, positional=True)
+        for dt in (0.7, 1e-12):
+            out = propagate_dw(law, dt)
+            assert_law_close(out, reference_propagate(law, dt))
+
+    @pytest.mark.parametrize("top", [1022, 1023])
+    def test_one_type_at_the_float_range_against_mpmath(self, top):
+        # a cell of the Pascal contraction can reach C(m, m / 2) ~ 2^m: on
+        # one type, index 1 022 is the largest it takes, and 1 023 runs in
+        # the log domain.  Each is checked against 40 digits: the Pascal
+        # contraction to 1e-13, the log domain to 1e-12, since its lgamma
+        # differences lose up to about 4e-13 there.
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        reg1 = TypeRegistry(("a",))
+        base = BaseMeasure(2.0, {"a": 0.5})
+        law = _law(np.array([(top,)]), [0.0], reg1, base)
+        q = mp.mpf(dw_survival_prob(DwDualSpec(2.0, 1.0, 2.0), 0.3))
+        out = propagate_dw(law, 0.3)
+        assert [idx.counts for (_, idx) in out.components] == [
+            (k,) for k in range(top + 1)
+        ]
+        rel = 1e-13 if top == 1022 else 1e-12
+        for lw, (k,) in out.components:
+            x = float(mp.log(mp.binomial(top, k) * q**k * (1 - q) ** (top - k)))
+            assert abs(lw - x) <= rel * max(1.0, abs(x)), (k, lw, x)
+
+    def test_two_types_past_the_float_range_against_mpmath(self, reg2, flat2):
+        # largest indices summing to 1 023 over two types, with three rows,
+        # pass the float range and run in the log domain; the box is kept
+        # small (1 019 x 6), since that path holds box x side terms per axis
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        rows = np.array([(0, 5), (3, 2), (1018, 0)])
+        logs = np.log([0.5, 0.3, 0.2])
+        law = _law(rows, logs, reg2, flat2)
+        q = mp.mpf(dw_survival_prob(DwDualSpec(flat2.theta, 1.0, 2.0), 0.3))
+        out = propagate_dw(law, 0.3)
+        below = {
+            (a, b) for m, n in rows.tolist() for a in range(m + 1) for b in range(n + 1)
+        }
+        assert [idx.counts for _, idx in out.components] == sorted(below)
+
+        def pmf(m):
+            return [mp.binomial(m, k) * q**k * (1 - q) ** (m - k) for k in range(m + 1)]
+
+        terms = [
+            (mp.exp(mp.mpf(float(lw))), pmf(m[0]), pmf(m[1]))
+            for lw, m in zip(law._arrays[0], law._arrays[1].tolist())
+        ]
+        for lw, (a, b) in out.components:
+            exact = sum(
+                w * pa[a] * pb[b] for w, pa, pb in terms if a < len(pa) and b < len(pb)
+            )
+            x = float(mp.log(exact))
+            assert abs(lw - x) <= 1e-12 * max(1.0, abs(x)), (a, b, lw, x)
+
+
+def _law(rows, logs, reg, base, positional=False):
+    """Gamma law at beta = 1 and rate offset 2 on ``rows`` with ``logs``
+    normalized; by the positional constructor, rows stay as given."""
+    logs = np.asarray(logs, dtype=float)
+    logs = logs - np.logaddexp.reduce(logs)
+    comps = [(float(lw), MultiIndex(r)) for lw, r in zip(logs, rows.tolist())]
+    make = GammaMixtureLaw if positional else GammaMixtureLaw.from_components
+    return make(comps, base, reg, 1.0, 2.0)
+
+
+def test_pascal_matrix_against_math_comb():
+    """The Pascal matrix is exact, to the last bit, while its entries are
+    below 2^53 (side 57); past that each row m adds at most one rounding, so
+    an entry is within (1 + 2^-53)^(m - 56) - 1 of C(m, k), relative."""
+    side = 200
+    pascal = dw._pascal(side)
+    assert pascal.shape == (side, side)
+    assert dw._pascal(1).tolist() == [[1.0]]
+    for m in range(side):
+        assert not pascal[m, m + 1 :].any()
+        slack = (1 + Fraction(1, 2**53)) ** max(m - 56, 0) - 1
+        for k in range(m + 1):
+            exact = math.comb(m, k)
+            assert abs(Fraction(pascal[m, k]) - exact) <= slack * exact, (m, k)
+            if m < 57:
+                assert pascal[m, k] == exact
 
 
 def one_step_dw(reg, blocks, cardinalities, d_past, d_future, base, beta):

@@ -461,25 +461,35 @@ def test_wide_span_fold_runs_in_the_log_domain(fold_paths):
 # One fold of a (3, 3, 30) box into a (30, 30, 30) box: each row product
 # multiplies 900 x 30 rows by a 30 x 59 Toeplitz matrix, 1.6e6 multiply-adds,
 # past the size (2.6e5) below which OpenBLAS runs a product on one thread.
+# Then one dw propagation of a law filling a (40, 40, 40) box: each axis is
+# one product of 1 600 x 40 rows by a 40 x 40 Pascal matrix, 2.6e6
+# multiply-adds.
 _THREADED_FOLD = """
 import hashlib, sys
 import numpy as np
 from mvhmm import fv
+from mvhmm.core import BaseMeasure, GammaMixtureLaw, TypeRegistry
+from mvhmm.dw import propagate_dw
 rng = np.random.default_rng(17)
 a, b = (np.indices(s).reshape(3, -1).T for s in ((3, 3, 30), (30, 30, 30)))
 u, v = rng.normal(0.0, 3.0, len(a)), rng.normal(0.0, 3.0, len(b))
 f = np.zeros((32, 32, 59))
 out, count = fv._pair_fold(u, a, v, b, f)
 assert count == len(a) * len(b)
-sys.stdout.write(hashlib.sha256(out.tobytes()).hexdigest())
+rows = np.indices((40, 40, 40)).reshape(3, -1).T
+prior = GammaMixtureLaw.prior(BaseMeasure(2.0), TypeRegistry(("a", "b", "c")), 1.0)
+law = propagate_dw(prior._built(rng.normal(0.0, 3.0, len(rows)), rows), 0.3)
+assert len(law) == len(rows)
+digest = hashlib.sha256(out.tobytes() + law._arrays[0].tobytes())
+sys.stdout.write(digest.hexdigest())
 """
 
 
 def test_linear_fold_bytes_do_not_depend_on_blas_threads():
-    """The linear fold multiplies matrices through numpy's BLAS, whose
-    thread pools are sized by these variables: a fold large enough to
-    thread, run in a fresh interpreter with one thread and then two, gives
-    the same bytes."""
+    """The linear fold and dw propagation multiply matrices through numpy's
+    BLAS, whose thread pools are sized by these variables: a fold and a
+    propagation large enough to thread, run in a fresh interpreter with one
+    thread and then two, give the same bytes."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("MVHMM_")}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(fv.__file__))
     digests = []
