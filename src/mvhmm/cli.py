@@ -68,9 +68,7 @@ def _load(args) -> tuple[RunConfig, ObservationTimeline]:
 
 def _smooth(config: RunConfig, timeline: ObservationTimeline, i: int):
     if config.model == "fv":
-        return fv_engine.smooth(
-            timeline, i, config.base, config.pruning_epsilon, config.ode_tolerance
-        )
+        return fv_engine.smooth(timeline, i, config.base, config.pruning_epsilon)
     return dw_engine.smooth_dw(
         timeline,
         i,
@@ -84,9 +82,7 @@ def _smooth(config: RunConfig, timeline: ObservationTimeline, i: int):
 def _cmd_filter(args) -> int:
     config, timeline = _load(args)
     if config.model == "fv":
-        law = fv_engine.filter_posterior(
-            timeline, args.at, config.base, config.ode_tolerance
-        )
+        law = fv_engine.filter_posterior(timeline, args.at, config.base)
     else:
         law = dw_engine.filter_posterior_dw(
             timeline, args.at, config.base, config.beta, config.dw_rate_constant

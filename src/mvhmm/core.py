@@ -9,7 +9,9 @@ positional constructor, which keeps rows as given.  A mixture law stores
 its components only as a read-only log-weight vector and int index-row
 matrix, which the engines read and build laws from; ``components``, as
 (log-weight, MultiIndex) pairs, is listed from them on first access for
-readers outside the engines.
+readers outside the engines.  The box layer beside _row_codes is the one
+way between those arrays and the dense boxes (shape max_j + 1, cells in C
+order) that the kernels of both engines run on, in either domain.
 """
 
 from __future__ import annotations
@@ -263,6 +265,54 @@ def _row_codes(rows: np.ndarray) -> np.ndarray:
     if math.prod(radices.tolist()) > 2**62:
         return np.unique(rows, axis=0, return_inverse=True)[1].ravel()
     return rows @ (np.cumprod(radices[::-1])[::-1] // radices)
+
+
+# Exponent band width of the linear kernels: exp-shifted by their largest,
+# weights spanning less give products of two above e^-600, which never
+# underflow.  dw thinning cuts its rows into bands of this width.
+_SPAN = 300.0
+
+
+def _box(log_weights: np.ndarray, indices: np.ndarray, shape) -> np.ndarray:
+    """Array of ``shape`` holding at the cell of each index row its
+    log-weight (those of equal rows folded by np.logaddexp in order), -inf
+    at every other cell."""
+    box = np.full(shape, -math.inf)
+    np.logaddexp.at(box, tuple(indices.T), log_weights)
+    return box
+
+
+def _cells(box: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The finite cells of ``box`` as (log-weights, index rows), in C order,
+    which is the order of _row_codes."""
+    flat = box.reshape(-1)
+    where = np.flatnonzero(flat != -math.inf)
+    return flat[where], np.stack(np.unravel_index(where, box.shape), axis=1)
+
+
+def _exp_box(log_weights: np.ndarray, indices: np.ndarray, side=None):
+    """(box, top), top the largest log-weight: exp(log-weight - top) at the
+    cell of each index row (equal rows summed in order), 0 elsewhere in the
+    box of ``side``, by default the largest index of each type plus one."""
+    if side is None:
+        side = tuple((indices.max(axis=0) + 1).tolist())
+    top = float(log_weights.max())
+    flat = np.ravel_multi_index(tuple(indices.T), side)
+    box = np.bincount(flat, np.exp(log_weights - top), math.prod(side))
+    return box.reshape(side), top
+
+
+def _log_box(box: np.ndarray, top) -> np.ndarray:
+    """log ``box`` + ``top``, -inf where ``box`` is 0."""
+    return np.log(box, out=np.full_like(box, -math.inf), where=box > 0.0) + top
+
+
+def _log_summed(terms: np.ndarray, axis: int) -> np.ndarray:
+    """log sum exp of ``terms`` along ``axis``: each sum shifted by its
+    largest term, -inf where every term is."""
+    top = terms.max(axis=axis)
+    shift = np.where(top != -math.inf, top, 0.0)
+    return _log_box(np.exp(terms - np.expand_dims(shift, axis)).sum(axis=axis), shift)
 
 
 def _merged(

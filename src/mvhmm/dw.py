@@ -31,10 +31,16 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    _SPAN,
     BaseMeasure,
     GammaMixtureLaw,
     MultiIndex,
     ObservationTimeline,
+    _box,
+    _cells,
+    _exp_box,
+    _log_box,
+    _log_summed,
 )
 from .dual import (
     DEFAULT_DW_RATE_CONSTANT,
@@ -46,14 +52,9 @@ from .dual import (
 )
 from .errors import DomainError
 from .fv import (
-    _SPAN,
-    _box,
     _case_score,
-    _cells,
     _check_size,
     _filter,
-    _log_summed,
-    _model_key,
     _PairDecomposition,
     _Pairs,
     _pick,
@@ -151,21 +152,17 @@ def _thinning(law: GammaMixtureLaw, q: float) -> tuple[np.ndarray, np.ndarray]:
     # prod_j C(m_j, k_j) < 2^(sum_j (side_j - 1)): it must stay below 2^maxexp,
     # or the box thins in the log domain.
     if sum(side) - len(side) + len(log_weights).bit_length() >= np.finfo(float).maxexp:
-        return _cells(_log_thinned(log_weights, indices, side, q))
+        return _cells(_log_thinned(_box(log_weights, indices, side), q))
     log_p = math.log1p(-q)
     x = log_weights + indices.sum(axis=1) * log_p
-    flat = np.ravel_multi_index(tuple(indices.T), side)
     pascal = _pascal(max(side))
-    if np.ptp(x) < _SPAN:
-        box = _thinned(x, flat, side, pascal)
-    else:
-        keep = x != -math.inf  # zero-weight rows of a positional law
-        x, flat = x[keep], flat[keep]
-        box = np.full(side, -math.inf)
-        while len(x):
-            band = x > x.max() - _SPAN
-            box = np.logaddexp(box, _thinned(x[band], flat[band], side, pascal))
-            x, flat = x[~band], flat[~band]
+    box = None
+    while (top := x.max()) > -math.inf:  # rows of weight 0 join no band
+        band = x > top - _SPAN
+        y, shift = _exp_box(np.where(band, x, -math.inf), indices, side)
+        logs = _log_box(_thinned(y, pascal), shift)
+        box = logs if box is None else np.logaddexp(box, logs)
+        x = np.where(band, -math.inf, x)
     box += sum(np.indices(side, sparse=True)) * (math.log(q) - log_p)
     return _cells(box)
 
@@ -182,24 +179,21 @@ def _pascal(side: int) -> np.ndarray:
     return out
 
 
-def _thinned(x, flat, side, pascal) -> np.ndarray:
-    """log sum exp(x[r]) C(m, k) over the rows r (raveled cells ``flat`` m of
-    the box of ``side``, equal ones summed) at each cell k, -inf where no row
-    reaches, for x spanning less than _SPAN nats: exp-shifted by the largest
-    x, every term lies between e^-_SPAN and the largest float."""
-    top = float(x.max())
-    y = np.bincount(flat, np.exp(x - top), math.prod(side))
+def _thinned(y: np.ndarray, pascal: np.ndarray) -> np.ndarray:
+    """sum y[m] C(m, k) over the cells m of the linear box ``y`` at each cell
+    k, one product per axis with ``pascal``: on a band exp-shifted by its
+    largest, every term lies between e^-_SPAN and the largest float."""
+    side = y.shape
     for s in side:  # contracts the leading axis and puts it last
         y = y.reshape(s, -1).T @ pascal[:s, :s]
-    y = y.reshape(side)
-    return np.log(y, out=np.full_like(y, -math.inf), where=y > 0.0) + top
+    return y.reshape(side)
 
 
-def _log_thinned(log_weights, indices, side, q) -> np.ndarray:
-    """The thinned box in the log domain, for any box: one contraction per
-    axis with the table of binomial log-pmfs at q, each sum shifted by its
-    largest term.  It holds box x side terms per axis."""
-    box = _box(log_weights, indices, side)
+def _log_thinned(box: np.ndarray, q: float) -> np.ndarray:
+    """The log-domain ``box`` thinned at survival probability q: one
+    contraction per axis with the table of binomial log-pmfs at q, each sum
+    shifted by its largest term.  It holds box x side terms per axis."""
+    side = box.shape
     binom = _log_binom_table(max(side) - 1, q)
     for j, s in enumerate(side):  # log sum_m exp(box[..., m, ...] + binom[m, k])
         table = binom[:s, :s].reshape((s, s) + (1,) * (len(side) - j - 1))
@@ -220,7 +214,7 @@ def _dw_filter(timeline, i, base, beta, kappa, backward=False) -> GammaMixtureLa
         update_gamma,
         lambda law, dt: propagate_dw(law, dt, kappa),
         timeline.dw_draws,
-        _model_key(base, beta, kappa),
+        (base, beta, kappa),
         backward,
     )
 

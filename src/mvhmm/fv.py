@@ -71,6 +71,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    _SPAN,
     BaseMeasure,
     DirichletMixtureLaw,
     MultiIndex,
@@ -78,7 +79,12 @@ from .core import (
     TypeRegistry,
     _MixtureBase,
     _at_least,
+    _box,
+    _cells,
     _check_epsilon,
+    _exp_box,
+    _log_box,
+    _log_summed,
     _normalized,
     logsumexp_1d,
 )
@@ -213,33 +219,6 @@ def update_dirichlet(law: DirichletMixtureLaw, n: MultiIndex) -> DirichletMixtur
 # ---------------------------------------------------------------------------
 
 
-def _box(log_weights: np.ndarray, indices: np.ndarray, shape) -> np.ndarray:
-    """Array of ``shape`` holding at the cell of each index row its
-    log-weight (those of equal rows folded by np.logaddexp in order), -inf
-    at every other cell."""
-    box = np.full(shape, -math.inf)
-    np.logaddexp.at(box, tuple(indices.T), log_weights)
-    return box
-
-
-def _cells(box: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The finite cells of ``box`` as (log-weights, index rows), in C order,
-    which is the order of _row_codes."""
-    flat = box.reshape(-1)
-    where = np.flatnonzero(flat != -math.inf)
-    return flat[where], np.stack(np.unravel_index(where, box.shape), axis=1)
-
-
-def _log_summed(terms: np.ndarray, axis: int) -> np.ndarray:
-    """log sum exp of ``terms`` along ``axis``: each sum shifted by its
-    largest term, -inf where every term is."""
-    top = terms.max(axis=axis)
-    finite = top != -math.inf
-    shift = np.where(finite, top, 0.0)
-    sums = np.exp(terms - np.expand_dims(shift, axis)).sum(axis=axis)
-    return np.log(sums, out=np.full_like(sums, -math.inf), where=finite) + shift
-
-
 def propagate_forward(
     law: DirichletMixtureLaw, dt: float, rtol: float = DEFAULT_ODE_RTOL
 ) -> DirichletMixtureLaw:
@@ -299,22 +278,17 @@ _kept: dict[int, tuple] = {}
 _kept_lock = threading.Lock()
 
 
-def _model_key(base: BaseMeasure, *params) -> tuple:
-    """What filter laws depend on besides the timeline (atoms in order)."""
-    atoms = None if base.atom_probs is None else tuple(base.atom_probs.items())
-    return (base.theta, atoms, *params)
-
-
 def _filter(timeline, i, prior, update, propagate, data, key, backward=False):
     """Law of the signal at t_i given the data strictly before t_i (after it
     if ``backward``), for either model: from ``prior``, alternates
     ``update(law, data[j])`` with ``propagate(law, dt)`` towards t_i.
     ``data`` is None when the timeline carries the other model's data.
 
-    The laws met are kept while the timeline lives, under the model ``key``;
-    a call with the same key resumes from the longest kept prefix.  Steps
-    run outside the lock: each law is deterministic, so a lost race costs
-    only recomputation.
+    The laws met are kept while the timeline lives, under the model ``key``
+    of parameters; a call with an equal key (equal bases, whatever the order
+    of their atoms) resumes from the longest kept prefix.  Steps run outside
+    the lock: each law is deterministic, so a lost race costs only
+    recomputation.
     """
     if data is None:
         raise DomainError(f"timeline carries {timeline.mode} data, not this model's")
@@ -350,7 +324,7 @@ def _fv_filter(timeline, i, base, backward=False) -> DirichletMixtureLaw:
         update_dirichlet,
         propagate_forward,
         timeline.fv_counts,
-        _model_key(base),
+        (base,),
         backward,
     )
 
@@ -498,13 +472,6 @@ def _sliced(w: np.ndarray, rows: np.ndarray, other: np.ndarray, n: np.ndarray):
     return w[keep], rows[keep]
 
 
-# The unpruned fold runs in the linear domain when each side's log-weights
-# span less than _SPAN nats: exp-shifted by their largest, a product of two
-# is then at least e^-600 and never underflows.  Wider laws fold in the log
-# domain.  dw propagation cuts its rows into exponent bands of this width.
-_SPAN = 300.0
-
-
 def _pair_fold(u, a, v, b, f, log_z=0.0, epsilon=0.0):
     """log sum exp(u[k] + v[k']) over the pairs (k a row of ``a``, k' a row
     of ``b``) at each cell k + k' of the box of ``f``, -inf where no pair
@@ -517,37 +484,28 @@ def _pair_fold(u, a, v, b, f, log_z=0.0, epsilon=0.0):
         u, a, v, b = v, b, u, a
     if epsilon > 0.0 or max(np.ptp(u), np.ptp(v)) >= _SPAN:
         return _log_fold(u, a, v, b, f, log_z, epsilon)
-    top_u, top_v = float(u.max()), float(v.max())
-    sums = _linear_fold(np.exp(u - top_u), a, np.exp(v - top_v), b, f.shape)
-    logs = np.log(sums, out=np.full_like(sums, -math.inf), where=sums > 0.0)
-    logs += top_u + top_v
-    return logs, len(a) * len(b)
+    (x, top_u), (y, top_v) = _exp_box(u, a), _exp_box(v, b)
+    return _log_box(_linear_fold(x, y, f.shape), top_u + top_v), len(a) * len(b)
 
 
-def _linear_fold(x, a, y, b, shape) -> np.ndarray:
-    """sum x[k] y[k'] over the pairs (k a row of ``a``, k' a row of ``b``)
-    at each cell k + k' of an array of ``shape``, for nonnegative x and y.
+def _linear_fold(x: np.ndarray, y: np.ndarray, shape) -> np.ndarray:
+    """sum x[k] y[k'] over the cells k of box ``x`` and k' of box ``y`` at
+    each cell k + k' of an array of ``shape``, for nonnegative boxes.
 
-    Both sides go into their boxes (equal rows summed), taken as matrices of
-    rows along the last axis.  Each nonzero row p of a's box is one Toeplitz
-    matrix T_p, of b's last side by that of ``shape``, with T_p[t, s] the
-    entry s - t of row p (0 off the row), so b's rows times T_p are the pairs
-    of row p, added into the window at p's leading index.  One matrix
-    product per row of a's box."""
-    side_a, side_b = (tuple((r.max(axis=0) + 1).tolist()) for r in (a, b))
-    rows_a, rows_b = (
-        np.bincount(
-            np.ravel_multi_index(tuple(r.T), side), w, math.prod(side)
-        ).reshape(-1, side[-1])
-        for w, r, side in ((x, a, side_a), (y, b, side_b))
-    )
-    a_k, b_k, o_k = side_a[-1], side_b[-1], shape[-1]
+    Both boxes are taken as matrices of rows along the last axis.  Each
+    nonzero row p of ``x`` is one Toeplitz matrix T_p, of y's last side by
+    that of ``shape``, with T_p[t, s] the entry s - t of row p (0 off the
+    row), so y's rows times T_p are the pairs of row p, added into the
+    window at p's leading index.  One matrix product per nonzero row of
+    ``x``."""
+    a_k, b_k, o_k = x.shape[-1], y.shape[-1], shape[-1]
+    rows_a, rows_b = x.reshape(-1, a_k), y.reshape(-1, b_k)
     gather = np.arange(o_k) - np.arange(b_k)[:, None] + (b_k - 1)
     padded = np.zeros(a_k + 2 * (b_k - 1))
     out = np.zeros(shape)
-    lead = side_b[:-1] + (o_k,)
+    lead = y.shape[:-1] + (o_k,)
     live = np.flatnonzero(rows_a.any(axis=1))
-    starts = np.array(np.unravel_index(live, side_a[:-1] + (1,))).T.tolist()
+    starts = np.array(np.unravel_index(live, x.shape[:-1] + (1,))).T.tolist()
     for p, start in zip(live.tolist(), starts):
         padded[b_k - 1 : b_k - 1 + a_k] = rows_a[p]
         window = tuple(slice(i, i + s) for i, s in zip(start, lead))

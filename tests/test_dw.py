@@ -255,6 +255,34 @@ class TestPropagateDw:
             out = propagate_dw(law, dt)
             assert_law_close(out, reference_propagate(law, dt))
 
+    def test_zero_weight_rows_join_no_band(self, reg2, flat2):
+        # a row of log-weight -inf (inside the box of the others) enters no
+        # exponent band, so the law thins to the same bits as without it:
+        # in one band, in several (x = log w + |m| log(1 - q) spans more than
+        # 300 nats at dt = 1e-12), and with finite rows spanning more than
+        # 3 000 nats
+        rows = np.array([(2, 1), (0, 3), (7, 7), (1, 0), (6, 8)])
+        flat = np.log([0.3, 0.2, 0.1, 0.25, 0.15])
+        wide = flat + np.array([0.0, -1000.0, -3100.0, -300.0, -2000.0])
+        assert np.ptp(wide) > 3000.0
+        cases = ((0.7, flat, True), (1e-12, flat, False), (0.7, wide, False))
+        for dt, logs, one_band in cases:
+            q = dw_survival_prob(DwDualSpec(flat2.theta, 1.0, 2.0), dt)
+            span = np.ptp(logs + rows.sum(axis=1) * math.log1p(-q))
+            assert (span < 300.0) == one_band
+            without = _law(rows, logs, reg2, flat2, positional=True)
+            with_zero = _law(
+                np.insert(rows, 2, (1, 2), axis=0),
+                np.insert(logs, 2, -math.inf),
+                reg2,
+                flat2,
+                positional=True,
+            )
+            got, want = propagate_dw(with_zero, dt), propagate_dw(without, dt)
+            assert got.rate_offset == want.rate_offset
+            assert np.array_equal(got._arrays[1], want._arrays[1])
+            assert got._arrays[0].tobytes() == want._arrays[0].tobytes()
+
     @pytest.mark.parametrize("top", [1022, 1023])
     def test_one_type_at_the_float_range_against_mpmath(self, top):
         # a cell of the Pascal contraction can reach C(m, m / 2) ~ 2^m: on

@@ -845,7 +845,7 @@ def test_kept_filter_laws_under_concurrent_callers():
         fresh = dataclasses.replace(timeline)
         for i in range(n):
             expected[b, i] = smooth(fresh, i, base).law
-        chains[fv._model_key(base)] = (
+        chains[(base,)] = (
             [filter_forward(fresh, i, base) for i in range(n)],
             [filter_backward(fresh, i, base) for i in reversed(range(n))],
         )
